@@ -1,24 +1,29 @@
 """Closed-form fidelities, advantage regions, figures of merit, and outcome search.
 
-The post-selected fidelity of an isotropic n-path switch is a ratio of
-degree-n polynomials in the noise weight p (see switch.post_selected_polynomials),
-so every quantity here reduces to polynomial arithmetic plus piecewise-smooth
-quadrature of max(F - 2/3, 0) over p in [0, 1/3].
+The post-selected fidelity of an isotropic n-path switch is a ratio
+F = num/den of degree-n polynomials in the noise weight p (see
+switch.post_selected_polynomials), so every quantity here reduces to
+polynomial arithmetic. The figure of merit integrates max(F - 2/3, 0) over
+p in [0, 1/3]: its kinks are the roots of num - (2/3) den, found as companion
+matrix eigenvalues, and each smooth piece between them takes one fixed
+48-node Gauss-Legendre rule. There is no adaptive refinement; merit_grid runs
+this for a whole stack of outcomes at once.
 """
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .channels import no_switch_fidelity, no_switch_threshold
-from .linalg import normalize_state
+from .linalg import STATE_NORM_TOL, normalize_state
 from .switch import (
     ControlState,
     DegenerateOutcomeError,
-    branch_pair_weight_counts,
-    pauli_basis_monomials,
+    InvariantError,
     post_selected_polynomials,
+    post_selected_weight_stack,
     uniform_control,
 )
 
@@ -27,9 +32,20 @@ CLASSICAL_THRESHOLD = 2 / 3
 # below this, a polynomial value of the success probability counts as zero
 _PROB_FLOOR = 1e-11
 
+# an outcome whose probability polynomial has no coefficient above this never fires
+_SILENT_PROB = 1e-13
 
-class QuadratureError(RuntimeError):
-    """Figure-of-merit quadrature failed to converge."""
+# num - (2/3) den whose leading coefficient is below this fraction of its
+# largest one has dropped a degree; its roots come from the trimmed polynomial
+_DEGREE_DROP = 1e-12
+
+# nodes of the Gauss-Legendre rule applied to every smooth piece of the merit
+# integrand; the rule is built on first use
+_GL_POINTS = 48
+_gauss_legendre = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+# outcomes per block of merit_grid; bounds the memory of the node arrays
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -71,16 +87,6 @@ class AdvantageRegions:
     @property
     def region2(self):
         return (self.p_hi, 1 / 3) if self.region2_exists else None
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    points: int = 3001
-    tol: float = 1e-8
-    kink_tol: float = 1e-12
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 def switched_fidelity(params):
@@ -134,34 +140,42 @@ def l1_coherence(state):
 # --------------------------------------------------------------------------
 
 
+class _OutcomeFamily:
+    """Outcomes over (lambda, phi): ket i is _coeffs[i] lambda e^{i phi}, or 1 where that is 0."""
+
+    @classmethod
+    def grid(cls, lams, phis):
+        """Normalized (len(lams) * len(phis), d) stack of outcomes, lambda-major."""
+        lams = np.asarray(lams, dtype=float).reshape(-1, 1)
+        if np.any(lams < 0):
+            raise ValueError("lambda must be >= 0")
+        weight = (lams * np.exp(1j * np.asarray(phis, dtype=float))).reshape(-1, 1)
+        kets = np.where(cls._coeffs == 0, 1.0, cls._coeffs * weight)
+        return kets / np.linalg.norm(kets, axis=1, keepdims=True)
+
+    def vector(self):
+        return self.grid([self.lam], [self.phi])[0]
+
+
 @dataclass(frozen=True)
-class OutcomeFamily2:
+class OutcomeFamily2(_OutcomeFamily):
     """Two-path control outcome proportional to |0> + lambda e^{i phi} |1>."""
 
     lam: float
     phi: float
     paths = 2
-
-    def vector(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        return normalize_state([1.0, self.lam * np.exp(1j * self.phi)])
+    _coeffs = np.array([0.0, 1.0])
 
 
 @dataclass(frozen=True)
-class OutcomeFamily3:
+class OutcomeFamily3(_OutcomeFamily):
     """Three-path outcome: even-permutation kets minus lambda e^{i phi} odd ones."""
 
     lam: float
     phi: float
     paths = 3
-
-    def vector(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        odd = -self.lam * np.exp(1j * self.phi)
-        # lexicographic permutation parities for n=3: even at 0, 3, 4
-        return normalize_state([1.0, odd, odd, 1.0, 1.0, odd])
+    # lexicographic permutation parities for n=3: even at 0, 3, 4
+    _coeffs = np.array([0.0, -1.0, -1.0, 0.0, 0.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -187,11 +201,18 @@ class AlphaOutcome:
 # --------------------------------------------------------------------------
 
 
-def _paths_from_control(control):
+def _paths_from_dim(dim):
     for n in (2, 3, 4):
-        if math.factorial(n) == control.dim:
+        if math.factorial(n) == dim:
             return n
-    raise ValueError(f"control dimension {control.dim} is not a supported factorial")
+    raise ValueError(f"control dimension {dim} is not a supported factorial")
+
+
+def _ratio_polynomials(w):
+    """(num, den) from weights w[..., k, :], checking the nonidentity weights agree."""
+    if not np.allclose(w[..., 2:, :], w[..., 1:2, :], atol=1e-12):
+        raise InvariantError("nonidentity weights differ; input independence lost")
+    return w[..., 0, :] + w[..., 1, :], w.sum(axis=-2)
 
 
 def fidelity_polynomials(control, outcome, n=None):
@@ -202,13 +223,8 @@ def fidelity_polynomials(control, outcome, n=None):
     ratio input-independent.
     """
     if n is None:
-        n = _paths_from_control(control)
-    w = post_selected_polynomials(control, outcome, n)
-    if not (np.allclose(w[1], w[2], atol=1e-12) and np.allclose(w[1], w[3], atol=1e-12)):
-        raise AssertionError("nonidentity weights differ; input independence lost")
-    num = w[0] + w[1]
-    den = w.sum(axis=0)
-    return num, den
+        n = _paths_from_dim(control.dim)
+    return _ratio_polynomials(post_selected_polynomials(control, outcome, n))
 
 
 def _lhopital(num, den, p):
@@ -242,116 +258,114 @@ def fidelity_profile(control, outcome, ps, n=None):
 
 
 # --------------------------------------------------------------------------
-# figure-of-merit quadrature
+# figure of merit
 # --------------------------------------------------------------------------
 
 
-def _simpson(values, h):
-    return h / 3 * (values[0] + values[-1] + 4 * values[1:-1:2].sum() + 2 * values[2:-1:2].sum())
+def _root_real_parts(g):
+    """Real parts of the roots of each row of g (ascending), padded with zeros.
+
+    Rows of full degree share one batched companion-matrix eigenvalue call;
+    rows that drop a degree are trimmed and solved one by one.
+    """
+    rows, deg = g.shape[0], g.shape[1] - 1
+    out = np.zeros((rows, deg))
+    big = np.abs(g) > _DEGREE_DROP * np.max(np.abs(g), axis=1, keepdims=True)
+    full = big[:, -1]
+    if full.any():
+        companion = np.zeros((int(full.sum()), deg, deg))
+        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        companion[:, :, -1] = -g[full, :-1] / g[full, -1:]
+        # rotated like numpy's polyroots, which reduces the rounding error
+        out[full] = np.linalg.eigvals(companion[:, ::-1, ::-1]).real
+    for i in np.nonzero(~full)[0]:
+        kept = np.flatnonzero(big[i])
+        if kept.size and kept[-1] > 0:
+            roots = P.polyroots(g[i, : kept[-1] + 1]).real
+            out[i, : len(roots)] = roots
+    return out
 
 
-def _bisect_root(g, lo, hi, tol):
-    glo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
-            return mid
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (glo < 0) == (gm < 0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _kink_points(num, den, spec):
-    """Roots of F(p) = 2/3 in (0, 1/3), located by sign scan plus bisection."""
-    g_coeffs = P.polysub(num, CLASSICAL_THRESHOLD * np.asarray(den))
-
-    def g(p):
-        return P.polyval(p, g_coeffs)
-
-    ps = np.linspace(0.0, 1 / 3, spec.points)
-    gv = P.polyval(ps, g_coeffs)
-    kinks = []
-    for i in range(len(ps) - 1):
-        if gv[i] == 0.0 and 0 < i:
-            kinks.append(ps[i])
-        elif gv[i] * gv[i + 1] < 0:
-            kinks.append(_bisect_root(g, ps[i], ps[i + 1], spec.kink_tol))
-    return kinks
-
-
-def _odd_nodes(count):
-    count = max(int(count), 5)
-    return count if count % 2 == 1 else count + 1
-
-
-def _integrate_pieces(num, den, kinks, points):
-    bounds = [0.0] + list(kinks) + [1 / 3]
-    total = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b - a < 1e-14:
-            continue
-        mid = evaluate_fidelity(num, den, 0.5 * (a + b))[0]
-        if mid <= CLASSICAL_THRESHOLD:
-            continue
-        nodes = _odd_nodes(round(points * (b - a) / (1 / 3)))
-        ps = np.linspace(a, b, nodes)
-        vals = evaluate_fidelity(num, den, ps) - CLASSICAL_THRESHOLD
-        total += _simpson(vals, ps[1] - ps[0])
-    return total
-
-
-def _merit_from_polynomials(num, den, spec):
-    kinks = _kink_points(num, den, spec)
-    coarse = _integrate_pieces(num, den, kinks, spec.points)
-    fine = _integrate_pieces(num, den, kinks, 2 * spec.points)
-    if abs(fine - coarse) > spec.tol:
-        raise QuadratureError(
-            f"step halving changed K by {abs(fine - coarse):.3e} > {spec.tol}"
+def _merit_block(amps, outcomes, n):
+    """K for a block of (control amplitudes, normalized outcome) rows."""
+    num, den = _ratio_polynomials(post_selected_weight_stack(amps * outcomes.conj(), n))
+    silent = np.max(np.abs(den), axis=1) < _SILENT_PROB
+    if silent.any():
+        if amps.shape[1] != 2:
+            raise DegenerateOutcomeError(
+                "outcome probability is identically zero and the control is not a qubit"
+            )
+        # the orthogonal complement fires with certainty; gamma = c * conj(complement)
+        complement = np.stack([-outcomes[silent, 1], outcomes[silent, 0]], axis=1)
+        weights = post_selected_weight_stack(amps[silent] * complement, n)
+        num[silent], den[silent] = _ratio_polynomials(weights)
+    # every root's real part becomes a cut: a cut at a point that is not a
+    # crossing of F = 2/3 only splits a smooth piece, and roots outside the
+    # interval clip to its ends and give empty pieces
+    kinks = np.clip(_root_real_parts(num - CLASSICAL_THRESHOLD * den), 0.0, 1 / 3)
+    ends = np.zeros((len(num), 1))
+    cuts = np.sort(np.hstack([ends, kinks, ends + 1 / 3]), axis=1)
+    half = 0.5 * (cuts[:, 1:] - cuts[:, :-1])
+    gl_nodes, gl_weights = _gauss_legendre(_GL_POINTS)
+    nodes = (cuts[:, :-1] + half)[..., None] + half[..., None] * gl_nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        excess = (
+            P.polyval(nodes, num.T[..., None, None], tensor=False)
+            / P.polyval(nodes, den.T[..., None, None], tensor=False)
+            - CLASSICAL_THRESHOLD
         )
-    return fine
+    # an empty piece may sit on a 0/0 end point; its nodes carry no weight
+    excess = np.where((half[..., None] > 0) & (excess > 0), excess, 0.0)
+    return (excess * half[..., None] * gl_weights).reshape(len(num), -1).sum(axis=1)
 
 
-def _complement_outcome(outcome):
-    m = normalize_state(outcome)
-    return np.array([-np.conj(m[1]), np.conj(m[0])])
+def merit_grid(controls, outcomes, n=None):
+    """K = integral over p in [0, 1/3] of max(F(p) - 2/3, 0) for a stack of rows.
 
-
-def figure_of_merit(outcome, control, n=None, quad=DEFAULT_QUADRATURE):
-    """K = integral over p in [0, 1/3] of max(F(p) - 2/3, 0).
+    controls is one ControlState or a sequence of G of them; outcomes is one
+    (d,) vector or a (G, d) stack; the two broadcast to G rows and K has
+    shape (G,). A row's K does not depend on the other rows.
 
     An outcome that never fires (probability identically zero) is replaced by
     its orthogonal complement when the control is two-dimensional, since the
     complement then fires with certainty; larger controls raise instead.
     """
+    controls = [controls] if isinstance(controls, ControlState) else controls
+    amps = np.array([c.amplitudes for c in controls])
+    amps, outcomes = np.broadcast_arrays(amps, np.atleast_2d(np.asarray(outcomes, complex)))
+    if n is None:
+        n = _paths_from_dim(amps.shape[-1])
+    if amps.ndim != 2 or amps.shape[1] != math.factorial(n):
+        raise ValueError("outcomes must be a (d,) vector or a (G, d) stack with d = n!")
+    norms = np.linalg.norm(outcomes, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norms) & (norms >= STATE_NORM_TOL)):
+        raise ValueError("outcomes must be finite and nonzero")
+    outcomes = outcomes / norms
+    merits = np.empty(len(amps))
+    for i in range(0, len(amps), _BLOCK_ROWS):
+        block = slice(i, i + _BLOCK_ROWS)
+        merits[block] = _merit_block(amps[block], outcomes[block], n)
+    return merits
+
+
+def figure_of_merit(outcome, control, n=None):
+    """K = integral over p in [0, 1/3] of max(F(p) - 2/3, 0): merit_grid for one outcome."""
     outcome = outcome.vector() if hasattr(outcome, "vector") else outcome
-    num, den = fidelity_polynomials(control, outcome, n)
-    if np.max(np.abs(den)) < 1e-13:
-        if control.dim != 2:
-            raise DegenerateOutcomeError(
-                "outcome probability is identically zero and the control is not a qubit"
-            )
-        num, den = fidelity_polynomials(control, _complement_outcome(outcome), n)
-    return _merit_from_polynomials(num, den, quad)
+    return float(merit_grid(control, outcome, n)[0])
 
 
-def no_switch_merit(n, quad=DEFAULT_QUADRATURE):
+def no_switch_merit(n):
     """K of n sequential channels without a switch.
 
-    F_n - 2/3 is nonnegative exactly on [0, p_n*], so the integral runs to the
-    analytic threshold and the integrand is a polynomial there.
+    F_n - 2/3 = (1 - 4p)^n / 2 - 1/6 is nonnegative exactly on [0, p_n*], so
+    K is the polynomial's antiderivative at the analytic threshold.
     """
-    upper = no_switch_threshold(n)
-    ps = np.linspace(0.0, upper, _odd_nodes(quad.points))
-    vals = no_switch_fidelity(ps, n) - CLASSICAL_THRESHOLD
-    return float(_simpson(vals, ps[1] - ps[0]))
+    excess = 0.5 * P.polypow([1.0, -4.0], n)
+    excess[0] += 0.5 - CLASSICAL_THRESHOLD
+    return float(P.polyval(no_switch_threshold(n), P.polyint(excess)))
 
 
-def k_total(control, outcome_label="plus", quad=DEFAULT_QUADRATURE):
+def k_total(control, outcome_label="plus"):
     """Integral over p of the joint fidelity between rho o rho_c and the
     pre-measurement switch output, for pure system and control states.
 
@@ -361,36 +375,26 @@ def k_total(control, outcome_label="plus", quad=DEFAULT_QUADRATURE):
     """
     if control.dim != 2:
         raise ValueError("k_total is defined for the two-path switch")
-    counts = branch_pair_weight_counts(2)
-    pops = np.abs(control.amplitudes) ** 2
-    per_basis = np.einsum("a,kabz,b->kz", pops, counts, pops)
-    polys = per_basis @ pauli_basis_monomials(2)
-    g_poly = polys[0] + polys[1]  # pure inputs: nonidentity weights coincide
-    ps = np.linspace(0.0, 1 / 3, _odd_nodes(quad.points))
-    vals = P.polyval(ps, g_poly)
-    coarse = _simpson(vals, ps[1] - ps[0])
-    ps2 = np.linspace(0.0, 1 / 3, _odd_nodes(2 * quad.points))
-    fine = _simpson(P.polyval(ps2, g_poly), ps2[1] - ps2[0])
-    if abs(fine - coarse) > quad.tol:
-        raise QuadratureError("k_total quadrature did not converge")
-    return float(fine)
+    # the joint fidelity has the weights of gamma = |c|^2, summed like num
+    w = post_selected_weight_stack(np.abs(control.amplitudes)[None] ** 2, 2)[0]
+    return float(P.polyval(1 / 3, P.polyint(w[0] + w[1])))
 
 
-def optimize_outcome(control, family, lambdas, phis, quad=DEFAULT_QUADRATURE):
+def optimize_outcome(control, family, lambdas, phis):
     """Exhaustive (lambda, phi) grid search of the figure of merit.
 
     Returns ((lambda, phi), K) at the argmax; ties break toward smaller
     lambda, then smaller phi.
     """
-    best = None
-    for lam in sorted(lambdas):
-        for phi in sorted(phis):
-            k = figure_of_merit(family(lam, phi), control, quad=quad)
-            if best is None or k > best[1] + 1e-15:
-                best = ((lam, phi), k)
-    if best is None:
+    lambdas, phis = sorted(lambdas), sorted(phis)
+    if not lambdas or not phis:
         raise ValueError("empty search grid")
-    return best
+    merits = merit_grid(control, family.grid(lambdas, phis)).tolist()
+    best = 0
+    for i, k in enumerate(merits):
+        if k > merits[best] + 1e-15:
+            best = i
+    return (lambdas[best // len(phis)], phis[best % len(phis)]), merits[best]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ deterministic given the flags and seed; floats are printed with 12
 significant digits.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 numerical
-failure.
+failure (an outcome that never fires).
 """
 import argparse
 import csv
@@ -29,6 +29,16 @@ DEFAULTS = {
     "paths": 3,
     "outcome": "plus",
 }
+
+# every key a flag or config file sets; "lambda" and dashed spellings in a
+# config file are normalized first
+CONFIG_KEYS = (*DEFAULTS, "lam", "phi", "alpha", "out")
+
+# keys that must hold finite numbers; "lam" is set by --lambda
+FLOAT_KEYS = ("q", "p_min", "p_max", "p_step", "lam", "phi")
+
+# largest p grid any subcommand builds
+MAX_P_POINTS = 100_000
 
 OUTCOME_VECTORS = {
     "plus": np.array([1.0, 1.0]) / math.sqrt(2),
@@ -129,10 +139,14 @@ def _p_grid(cfg):
         raise UsageError(f"p range [{p_min}, {p_max}] must sit inside [0, 1/3]")
     if p_step <= 0:
         raise UsageError("p-step must be positive")
+    points = (p_max - p_min) / p_step + 1
+    if points > MAX_P_POINTS:
+        raise UsageError(f"p grid of {points:.3g} points exceeds the cap of {MAX_P_POINTS}")
     grid = np.arange(p_min, p_max + p_step / 2, p_step)
     if grid.size == 0 or grid[-1] < p_max - 1e-12:
         grid = np.append(grid, p_max)
     return np.minimum(grid, 1 / 3)
+
 
 def _outcome_vector(cfg):
     label = cfg["outcome"]
@@ -195,11 +209,9 @@ def _scan_grids(cfg):
 def cmd_fom_scan(cfg):
     control = switch.control_qubit(cfg["q"])
     lams, phis = _scan_grids(cfg)
-    rows = []
-    for lam in lams:
-        for phi in phis:
-            k = analysis.figure_of_merit(analysis.OutcomeFamily2(lam, phi), control)
-            rows.append([float(lam), float(phi), k])
+    ks = analysis.merit_grid(control, analysis.OutcomeFamily2.grid(lams, phis))
+    pairs = ((lam, phi) for lam in lams for phi in phis)
+    rows = [[float(lam), float(phi), k] for (lam, phi), k in zip(pairs, ks)]
     _emit_tables(
         cfg,
         "fom-scan",
@@ -209,13 +221,14 @@ def cmd_fom_scan(cfg):
 
 
 def cmd_tradeoff(cfg):
-    rows = []
-    for q in np.linspace(0.5, 1.0, 21):
-        control = switch.control_qubit(q)
-        kt = analysis.k_total(control)
-        for label in ("plus", "minus", "0", "1"):
-            k = analysis.figure_of_merit(OUTCOME_VECTORS[label], control)
-            rows.append([float(q), kt, k, label])
+    qs = np.linspace(0.5, 1.0, 21)
+    controls = [switch.control_qubit(q) for q in qs]
+    ks = {label: analysis.merit_grid(controls, m) for label, m in OUTCOME_VECTORS.items()}
+    rows = [
+        [float(q), analysis.k_total(control), ks[label][i], label]
+        for i, (q, control) in enumerate(zip(qs, controls))
+        for label in OUTCOME_VECTORS
+    ]
     _emit_tables(
         cfg,
         "tradeoff",
@@ -225,12 +238,9 @@ def cmd_tradeoff(cfg):
 
 
 def cmd_coherence_scan(cfg):
-    rows = []
-    for q in np.linspace(1.0, 0.5, 41):
-        control = switch.control_qubit(q)
-        coherence = analysis.l1_coherence(control.amplitudes)
-        k = analysis.figure_of_merit(OUTCOME_VECTORS["plus"], control)
-        rows.append([coherence, k])
+    controls = [switch.control_qubit(q) for q in np.linspace(1.0, 0.5, 41)]
+    ks = analysis.merit_grid(controls, OUTCOME_VECTORS["plus"])
+    rows = [[analysis.l1_coherence(c.amplitudes), k] for c, k in zip(controls, ks)]
     _emit_tables(
         cfg,
         "coherence-scan",
@@ -245,11 +255,13 @@ def cmd_three_path(cfg):
     control = switch.uniform_control(3)
     if cfg.get("lam") is not None or cfg.get("phi") is not None:
         lams, phis = _scan_grids(cfg)
-        rows = []
-        for phi in phis:
-            for lam in lams:
-                k = analysis.figure_of_merit(analysis.OutcomeFamily3(lam, phi), control)
-                rows.append([float(phi), float(lam), k])
+        ks = analysis.merit_grid(control, analysis.OutcomeFamily3.grid(lams, phis))
+        ks = ks.reshape(len(lams), len(phis))
+        rows = [
+            [float(phi), float(lam), ks[i, j]]
+            for j, phi in enumerate(phis)
+            for i, lam in enumerate(lams)
+        ]
         _emit_tables(
             cfg,
             "three-path",
@@ -361,14 +373,28 @@ def resolve_config(args):
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
         for key, value in loaded.items():
-            key = key.replace("-", "_")
-            cfg["lam" if key == "lambda" else key] = value
-    for key in ("q", "p_min", "p_max", "p_step", "lam", "phi", "alpha",
-                "paths", "outcome", "seed", "out", "format"):
+            name = key.replace("-", "_")
+            name = "lam" if name == "lambda" else name
+            if name not in CONFIG_KEYS:
+                raise UsageError(f"unknown config key {key!r}")
+            cfg[name] = value
+    for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    for key in FLOAT_KEYS:
+        if cfg.get(key) is not None and not _finite_number(cfg[key]):
+            name = "lambda" if key == "lam" else key
+            raise UsageError(f"{name} must be a finite number, got {cfg[key]!r}")
+    alpha = cfg.get("alpha")
+    if alpha is not None and not (isinstance(alpha, (list, tuple)) and len(alpha) == 3
+                                  and all(map(_finite_number, alpha))):
+        raise UsageError(f"alpha must be three finite numbers, got {alpha!r}")
     return cfg
+
+
+def _finite_number(value):
+    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def main(argv=None):
@@ -380,7 +406,7 @@ def main(argv=None):
         return 0 if code is None else code
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    except (analysis.QuadratureError, switch.DegenerateOutcomeError, FloatingPointError) as exc:
+    except (switch.DegenerateOutcomeError, FloatingPointError) as exc:
         print(f"teleswitch: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (UsageError, ValueError) as exc:

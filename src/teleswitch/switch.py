@@ -35,6 +35,10 @@ class DegenerateOutcomeError(ValueError):
     """Post-selection on an outcome whose probability is below threshold."""
 
 
+class InvariantError(ArithmeticError):
+    """An internal identity of the polynomial route does not hold."""
+
+
 @dataclass(frozen=True)
 class Permutation:
     mapping: tuple
@@ -275,10 +279,10 @@ def branch_pair_weight_counts(n):
                 t = (t + dt) % 4
             ks[a], ts[a] = k, t
         if not np.all(ks == ks[0]):
-            raise AssertionError("branch products disagree on the Pauli label")
+            raise InvariantError("branch products disagree on the Pauli label")
         rel = (ts[:, None] - ts[None, :]) % 4
         if not np.all((rel == 0) | (rel == 2)):
-            raise AssertionError("relative branch phase is not +-1")
+            raise InvariantError("relative branch phase is not +-1")
         counts[ks[0], :, :, z] += np.where(rel == 0, 1, -1)
     counts.setflags(write=False)
     return counts
@@ -299,6 +303,23 @@ def pauli_basis_monomials(n):
     return rows
 
 
+def post_selected_weight_stack(gamma, n):
+    """Weights W[g, k] (ascending, degree n) for a (G, n!) stack gamma = c * conj(m).
+
+    W is bilinear in gamma. Each row is its own matrix-vector product with the
+    folded (exact, integer-valued) count tensor, so it does not depend on the
+    other rows.
+    """
+    gamma = np.asarray(gamma, dtype=complex)
+    counts = branch_pair_weight_counts(n)
+    fold = np.einsum("kabz,zj->abkj", counts, pauli_basis_monomials(n)).reshape(
+        counts.shape[1] ** 2, 4 * (n + 1))
+    outer = (gamma[:, :, None] * gamma.conj()[:, None, :]).reshape(len(gamma), 1, -1)
+    if not np.all(np.abs(outer.imag @ fold) <= 1e-12):
+        raise InvariantError("post-selected weights must be real")
+    return (outer.real @ fold).reshape(len(gamma), 4, n + 1)
+
+
 def post_selected_polynomials(control, outcome, n):
     """Coefficients W[k] (ascending, degree n) of the post-selected state weights.
 
@@ -308,9 +329,4 @@ def post_selected_polynomials(control, outcome, n):
     m = normalize_state(outcome)
     if control.dim != math.factorial(n) or len(m) != control.dim:
         raise ValueError("control/outcome dimensions must equal n!")
-    gamma = control.amplitudes * m.conj()
-    counts = branch_pair_weight_counts(n)
-    per_basis = np.einsum("a,kabz,b->kz", gamma, counts, gamma.conj())
-    if np.max(np.abs(per_basis.imag)) > 1e-12:
-        raise AssertionError("post-selected weights must be real")
-    return per_basis.real @ pauli_basis_monomials(n)
+    return post_selected_weight_stack((control.amplitudes * m.conj())[None], n)[0]

@@ -2,8 +2,8 @@
 analysis layers.
 
 Every check is seeded, so repeated runs produce byte-identical reports. The
-expected constants are closed forms or values frozen from independent
-root-finding and quadrature.
+expected values are closed forms: analytic integrals and root solves written
+out here, independent of the polynomial merit engine.
 """
 import math
 from dataclasses import dataclass
@@ -12,11 +12,25 @@ import numpy as np
 
 from . import analysis, channels, linalg, switch
 
-# frozen reference values (analytic integrals / root solves, 12 digits)
-MERIT_NO_SWITCH_1 = 1 / 36
-MERIT_NO_SWITCH_2 = 0.016037507477490
-MERIT_NO_SWITCH_3 = 0.011250873156791
-MERIT_PLUS_BALANCED = 0.023914668763221
+
+def no_switch_merit_exact(n):
+    """Integral of (1 - 4p)^n / 2 - 1/6 from 0 to u = (1 - 3^(-1/n)) / 4."""
+    u = (1 - 3 ** (-1 / n)) / 4
+    return (1 - 3 ** (-(n + 1) / n)) / (8 * (n + 1)) - u / 6
+
+
+def merit_plus_balanced_exact():
+    """K of outcome + at q = 1/2 from the antiderivative of the paper's closed form.
+
+    There F - 2/3 = -5/3 + (2 - 4p)/(1 - 6p^2), positive on [0, p_lo) and
+    (p_hi, 1/3] with p_lo, p_hi = (6 -+ sqrt 6)/30.
+    """
+    def antiderivative(p):
+        return (-5 * p / 3 + 2 / math.sqrt(6) * math.atanh(math.sqrt(6) * p)
+                + math.log(1 - 6 * p * p) / 3)
+
+    p_lo, p_hi = (6 - math.sqrt(6)) / 30, (6 + math.sqrt(6)) / 30
+    return antiderivative(p_lo) + antiderivative(1 / 3) - antiderivative(p_hi)
 
 
 @dataclass(frozen=True)
@@ -184,25 +198,12 @@ def run_all(seed=42):
         f"max |F-2/3| {err:.3e}, threshold dev {dev:.3e}",
     )
 
-    vals = {
-        "K1": (analysis.no_switch_merit(1), MERIT_NO_SWITCH_1),
-        "K2": (analysis.no_switch_merit(2), MERIT_NO_SWITCH_2),
-        "K3": (analysis.no_switch_merit(3), MERIT_NO_SWITCH_3),
-        "K_plus": (
-            analysis.figure_of_merit([1, 1], switch.control_qubit(0.5)),
-            MERIT_PLUS_BALANCED,
-        ),
-    }
-    err = max(abs(got - want) for got, want in vals.values())
-    check("merit_reference_values", err < 1e-9, f"max dev {err:.3e}")
+    err = max(abs(analysis.no_switch_merit(n) - no_switch_merit_exact(n)) for n in (1, 2, 3))
+    check("merit_reference_values", err < 1e-13, f"max dev {err:.3e}")
 
-    k1 = analysis.figure_of_merit(
-        [1, 1], switch.control_qubit(0.5), quad=analysis.QuadratureSpec(points=3001)
-    )
-    k2 = analysis.figure_of_merit(
-        [1, 1], switch.control_qubit(0.5), quad=analysis.QuadratureSpec(points=6001)
-    )
-    check("quadrature_step_halving", abs(k1 - k2) < 1e-8, f"|dK| {abs(k1 - k2):.3e}")
+    k_plus = analysis.figure_of_merit([1, 1], switch.control_qubit(0.5))
+    err = abs(k_plus - merit_plus_balanced_exact())
+    check("merit_exact_reference", err < 1e-13, f"|dK| {err:.3e}")
 
     # --- multi-path ----------------------------------------------------------
     rho = _haar_qubit_density(rng)
@@ -225,29 +226,26 @@ def run_all(seed=42):
     k_err = abs(analysis.figure_of_merit(alt.vector(), switch.uniform_control(3)) - 1 / 36)
     check(
         "three_path_alternating_outcome",
-        err < 1e-9 and lossless < 1e-9 and at_zero and prob_err < 1e-10 and k_err < 1e-8,
+        err < 1e-9 and lossless < 1e-9 and at_zero and prob_err < 1e-10 and k_err < 1e-13,
         f"linearity dev {err:.3e}, F(1/3) dev {lossless:.3e}, prob dev {prob_err:.3e}",
     )
 
     phis = np.arange(0.0, math.pi / 6 + 1e-12, math.pi / 720)
-    ks = [
-        analysis.figure_of_merit(
-            analysis.OutcomeFamily3(1.0, phi), switch.uniform_control(3)
-        )
-        for phi in phis
-    ]
+    ks = analysis.merit_grid(
+        switch.uniform_control(3), analysis.OutcomeFamily3.grid([1.0], phis)
+    )
     peak = float(phis[int(np.argmax(ks))])
     base_err = abs(ks[0] - 1 / 36)
     check(
         "three_path_phase_peak",
-        abs(peak - math.pi / 12) < math.pi / 36 and base_err < 1e-8,
+        abs(peak - math.pi / 12) < math.pi / 36 and base_err < 1e-13,
         f"peak phi {peak:.6f}, K(1,0) dev {base_err:.3e}",
     )
 
     k_half = analysis.k_total(switch.control_qubit(0.5))
     k_one = analysis.k_total(switch.control_qubit(1.0))
     err = max(abs(k_half - 5 / 27), abs(k_one - 17 / 81))
-    check("joint_fidelity_integrals", err < 1e-9, f"max dev {err:.3e}")
+    check("joint_fidelity_integrals", err < 1e-13, f"max dev {err:.3e}")
 
     return results
 

@@ -2,14 +2,15 @@
 
 Each test prints one [PASS]/[FAIL] line (bypassing capture) so the criterion
 status is visible in any pytest run. Reference constants are frozen from
-independent root solves and quadrature, not from the code under test.
+independent root solves or written as closed-form integrals, not taken from
+the code under test.
 """
 import math
 
 import numpy as np
 import pytest
 
-from teleswitch import analysis, channels, switch
+from teleswitch import analysis, channels, switch, verification
 
 POLYVAL = np.polynomial.polynomial.polyval
 
@@ -18,7 +19,6 @@ THRESHOLD_2 = 0.105662432702594   # bisection of 1 - 4p + 8p^2 = 2/3
 THRESHOLD_3 = 0.076659681412341   # bisection of 1/2 + (1-4p)^3/2 = 2/3
 MERIT_NO_SWITCH_2 = 0.016037507477490
 MERIT_NO_SWITCH_3 = 0.011250873156791
-MERIT_PLUS_BALANCED = 0.023914668763221
 
 
 @pytest.fixture
@@ -183,15 +183,13 @@ def test_criterion_08_figure_of_merit(report):
         control, analysis.OutcomeFamily2, lambdas, phis
     )
     argmax_ok = (lam, phi) == (1.0, 0.0)
-    k_a = analysis.figure_of_merit([1, 1], control,
-                                   quad=analysis.QuadratureSpec(points=3001))
-    k_b = analysis.figure_of_merit([1, 1], control,
-                                   quad=analysis.QuadratureSpec(points=6001))
-    halving = abs(k_a - k_b)
-    ok = k2_ok and argmax_ok and halving < 1e-8
+    k_plus = analysis.figure_of_merit([1, 1], control)
+    exact = abs(k_plus - verification.merit_plus_balanced_exact())
+    ok = k2_ok and argmax_ok and exact < 1e-13
     report(8, ok,
            f"K_no_switch(2)={k2:.9f} within 1e-6 of 0.016038; grid argmax at "
-           f"(lambda, phi)=({lam:g}, {phi:g}); step-halving dev {halving:.3e} < 1e-8")
+           f"(lambda, phi)=({lam:g}, {phi:g}); K(+, q=1/2) dev from the closed-form "
+           f"antiderivative {exact:.3e} < 1e-13")
 
 
 def test_criterion_09_three_paths(report):

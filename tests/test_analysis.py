@@ -119,16 +119,39 @@ def test_alternating_outcome_profile_is_linear():
     assert POLYVAL(1 / 3, den) == pytest.approx(2 / 9, abs=1e-12)
 
 
+def _merit_plus_balanced_exact():
+    """K(+, q = 1/2) from the antiderivative of the closed-form switched fidelity.
+
+    At mu = 1/2, F - 2/3 = -5/3 + (2 - 4p)/(1 - 6p^2); integrate it over the
+    advantage regions [0, p_lo) and (p_hi, 1/3].
+    """
+    def antiderivative(p):
+        return (-5 * p / 3 + 2 / math.sqrt(6) * math.atanh(math.sqrt(6) * p)
+                + math.log(1 - 6 * p * p) / 3)
+
+    regions = analysis.advantage_regions(0.5)
+    (a, b), (c, d) = regions.region1, regions.region2
+    return antiderivative(b) - antiderivative(a) + antiderivative(d) - antiderivative(c)
+
+
 def test_figure_of_merit_reference_values():
-    assert analysis.no_switch_merit(1) == pytest.approx(1 / 36, abs=1e-12)
-    assert analysis.no_switch_merit(2) == pytest.approx(0.016037507477490, abs=1e-12)
+    assert analysis.no_switch_merit(1) == pytest.approx(1 / 36, abs=1e-13)
+    x = (1 - 3 ** -0.5) / 4
+    k2 = x / 3 - 2 * x * x + 8 * x**3 / 3
+    assert analysis.no_switch_merit(2) == pytest.approx(k2, abs=1e-13)
     assert analysis.no_switch_merit(3) == pytest.approx(0.011250873156791, abs=1e-12)
-    k_plus = analysis.figure_of_merit([1, 1], switch.control_qubit(0.5))
-    assert k_plus == pytest.approx(0.023914668763221, abs=1e-9)
     k_alt = analysis.figure_of_merit(
         analysis.OutcomeFamily3(1.0, 0.0), switch.uniform_control(3)
     )
-    assert k_alt == pytest.approx(1 / 36, abs=1e-8)
+    assert k_alt == pytest.approx(1 / 36, abs=1e-13)
+
+
+def test_figure_of_merit_matches_closed_form_antiderivative():
+    exact = _merit_plus_balanced_exact()
+    # sympy's closed form evaluated to 19 digits
+    assert exact == pytest.approx(0.0239146687632213929, abs=1e-15)
+    k_plus = analysis.figure_of_merit([1, 1], switch.control_qubit(0.5))
+    assert k_plus == pytest.approx(exact, abs=1e-13)
 
 
 def test_figure_of_merit_definite_order_equals_no_switch():
@@ -144,25 +167,36 @@ def test_figure_of_merit_complement_convention_for_silent_outcome():
     assert k_silent == pytest.approx(k_complement, abs=1e-12)
 
 
-def test_figure_of_merit_quadrature_convergence_guard():
-    spec = analysis.QuadratureSpec(points=51, tol=0.0)
-    with pytest.raises(analysis.QuadratureError):
-        analysis.figure_of_merit([1, 1], switch.control_qubit(0.5), quad=spec)
+def test_merit_grid_rows_match_single_outcomes():
+    # one control against an outcome stack, and per-row controls against one outcome
+    controls = [switch.control_qubit(q) for q in (0.0, 0.3, 0.5, 1.0)]
+    outcomes = analysis.OutcomeFamily2.grid([0.0, 0.7, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
+    ks = analysis.merit_grid(controls[2], outcomes)
+    assert ks.tolist() == [analysis.figure_of_merit(m, controls[2]) for m in outcomes]
+    ks = analysis.merit_grid(controls, [0.0, 1.0])
+    assert ks.tolist() == [analysis.figure_of_merit([0.0, 1.0], c) for c in controls]
+    # at q = 1 the outcome |1> never fires and takes the complement's K
+    assert ks[-1] == pytest.approx(analysis.no_switch_merit(2), abs=1e-13)
+    assert analysis.merit_grid(controls[0], np.empty((0, 2))).shape == (0,)
+    with pytest.raises(ValueError):
+        analysis.merit_grid(controls[0], [np.nan, 1.0])
+    with pytest.raises(ValueError):
+        analysis.merit_grid(controls[0], [0.0, 0.0])
 
 
-def test_quadrature_step_halving_is_stable():
-    k_a = analysis.figure_of_merit(
-        [1, 1], switch.control_qubit(0.5), quad=analysis.QuadratureSpec(points=3001)
-    )
-    k_b = analysis.figure_of_merit(
-        [1, 1], switch.control_qubit(0.5), quad=analysis.QuadratureSpec(points=6001)
-    )
-    assert abs(k_a - k_b) < 1e-8
+def test_outcome_family_grid_is_lambda_major():
+    lams, phis = [0.0, 0.5, 2.0], [0.0, 1.0]
+    stack = analysis.OutcomeFamily3.grid(lams, phis)
+    assert stack.shape == (6, 6)
+    for i, (lam, phi) in enumerate((lam, phi) for lam in lams for phi in phis):
+        assert np.allclose(stack[i], analysis.OutcomeFamily3(lam, phi).vector(), atol=1e-15)
+    with pytest.raises(ValueError):
+        analysis.OutcomeFamily2.grid([1.0, -0.5], [0.0])
 
 
 def test_k_total_closed_forms():
-    assert analysis.k_total(switch.control_qubit(0.5)) == pytest.approx(5 / 27, abs=1e-10)
-    assert analysis.k_total(switch.control_qubit(1.0)) == pytest.approx(17 / 81, abs=1e-10)
+    assert analysis.k_total(switch.control_qubit(0.5)) == pytest.approx(5 / 27, abs=1e-13)
+    assert analysis.k_total(switch.control_qubit(1.0)) == pytest.approx(17 / 81, abs=1e-13)
     with pytest.raises(ValueError):
         analysis.k_total(switch.uniform_control(3))
 
@@ -227,3 +261,14 @@ def test_fidelity_profile_matches_brute_force_for_three_paths():
         joint = switch.switch_n(channels.isotropic_channel(p), 3, rho, ctrl)
         sel = switch.post_select(joint, m)
         assert f == pytest.approx(channels.qubit_fidelity(rho, sel.state), abs=1e-10)
+
+
+def test_fidelity_profile_matches_brute_force_for_four_paths():
+    rng = np.random.default_rng(25)
+    ctrl = switch.uniform_control(4)
+    m = switch.haar_random_state(24, rng)
+    v = switch.haar_random_state(2, rng)
+    rho = np.outer(v, v.conj())
+    f = analysis.fidelity_profile(ctrl, m, [0.2], 4)[0]
+    sel = switch.post_select(switch.switch_n(channels.isotropic_channel(0.2), 4, rho, ctrl), m)
+    assert f == pytest.approx(channels.qubit_fidelity(rho, sel.state), abs=1e-10)

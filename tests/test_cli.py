@@ -1,8 +1,10 @@
 import csv
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +202,61 @@ def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
     assert run_cli(["fidelity-curves", "--config", str(bad)]) == 1
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({"pstep": 0.1}))
+    assert run_cli(["fidelity-curves", "--config", str(unknown)]) == 1
+    assert "unknown config key 'pstep'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fom-scan", "--lambda", "nan", "--phi", "0"],
+    ["fom-scan", "--q", "0.5", "--phi", "inf"],
+    ["three-path", "--alpha=nan,0,0"],
+    ["three-path", "--lambda=-inf"],
+    ["fidelity-curves", "--q", "nan"],
+    ["fidelity-curves", "--p-min", "nan"],
+    ["fidelity-curves", "--p-max", "inf"],
+    ["fidelity-curves", "--p-step", "nan"],
+])
+def test_non_finite_values_exit_one(argv, capsys):
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "finite" in err and len(err.strip().splitlines()) == 1
+
+
+def test_non_finite_config_values_exit_one(tmp_path, capsys):
+    for payload in ({"lambda": float("nan"), "phi": 0.0}, {"alpha": [1, float("inf"), 0]},
+                    {"q": "half"}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        command = "three-path" if "alpha" in payload else "fom-scan"
+        assert run_cli([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "finite" in err
+
+
+@pytest.mark.parametrize("command", ["fidelity-curves", "three-path", "region-map"])
+def test_p_grid_above_cap_exits_one(command, tmp_path, capsys):
+    argv = [command, "--p-step", "1e-13", "--out", str(tmp_path / "grid.csv")]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "exceeds the cap" in err
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Examples:", 1)[1].split("```")[1]
+    commands = [line.split("#")[0] for line in block.splitlines()
+                if line.startswith("teleswitch ")]
+    assert len(commands) >= 5
+    for line in commands:
+        argv = shlex.split(line)[1:]
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert run_cli(argv) == 0, line
     capsys.readouterr()
 
 
