@@ -32,6 +32,9 @@ CLASSICAL_THRESHOLD = 2 / 3
 # below this, a polynomial value of the success probability counts as zero
 _PROB_FLOOR = 1e-11
 
+# |den(p)| below this fraction of den's largest coefficient is a 0/0 point
+_ZERO_DEN = 1e-11
+
 # an outcome whose probability polynomial has no coefficient above this never fires
 _SILENT_PROB = 1e-13
 
@@ -114,18 +117,6 @@ def advantage_regions(mu):
 def mu_threshold():
     """Minimal superposition mu for the large-noise advantage region to exist."""
     return 1 / 6
-
-
-def mu_threshold_bisection(tol=1e-10):
-    """Locate the region2 existence boundary by bisection on mu."""
-    lo, hi = 0.0, 0.5
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if advantage_regions(mid).region2_exists:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def l1_coherence(state):
@@ -239,12 +230,16 @@ def _lhopital(num, den, p):
 
 
 def evaluate_fidelity(num, den, ps):
-    """F(p) = num/den elementwise, filling isolated 0/0 points by L'Hopital."""
+    """F(p) = num/den elementwise, filling isolated 0/0 points by L'Hopital.
+
+    A point is 0/0 where |den(p)| is below _ZERO_DEN times den's largest
+    coefficient, so an outcome that fires rarely still gets its ratio.
+    """
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
     nv = P.polyval(ps, num)
     dv = P.polyval(ps, den)
     out = np.empty_like(nv)
-    ok = np.abs(dv) > _PROB_FLOOR
+    ok = np.abs(dv) > _ZERO_DEN * np.max(np.abs(den))
     out[ok] = nv[ok] / dv[ok]
     for i in np.nonzero(~ok)[0]:
         out[i] = _lhopital(num, den, ps[i])
@@ -365,13 +360,9 @@ def no_switch_merit(n):
     return float(P.polyval(no_switch_threshold(n), P.polyint(excess)))
 
 
-def k_total(control, outcome_label="plus"):
+def k_total(control):
     """Integral over p of the joint fidelity between rho o rho_c and the
     pre-measurement switch output, for pure system and control states.
-
-    The joint is taken before the control measurement, so the value does not
-    depend on outcome_label; the label is kept for tabulation alongside the
-    per-outcome figure of merit.
     """
     if control.dim != 2:
         raise ValueError("k_total is defined for the two-path switch")

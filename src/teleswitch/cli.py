@@ -37,6 +37,9 @@ CONFIG_KEYS = (*DEFAULTS, "lam", "phi", "alpha", "out")
 # keys that must hold finite numbers; "lam" is set by --lambda
 FLOAT_KEYS = ("q", "p_min", "p_max", "p_step", "lam", "phi")
 
+# keys that must hold integers
+INT_KEYS = ("seed", "paths")
+
 # largest p grid any subcommand builds
 MAX_P_POINTS = 100_000
 
@@ -46,6 +49,9 @@ OUTCOME_VECTORS = {
     "0": np.array([1.0, 0.0]),
     "1": np.array([0.0, 1.0]),
 }
+
+# allowed values of the flags that take a fixed set, for flags and config alike
+CHOICES = {"outcome": (*OUTCOME_VECTORS, "custom"), "format": ("csv", "json")}
 
 CAPTION_ALPHAS = (
     analysis.AlphaOutcome(1, 1, 1),
@@ -352,11 +358,10 @@ def build_parser():
         p.add_argument("--alpha", type=_alpha_tuple, default=None,
                        help="three-path odd-permutation coefficients a1,a2,a3")
         p.add_argument("--paths", type=int, default=None, help="number of channel copies")
-        p.add_argument("--outcome", choices=["plus", "minus", "0", "1", "custom"],
-                       default=None)
+        p.add_argument("--outcome", choices=CHOICES["outcome"], default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None, help="output file path")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
+        p.add_argument("--format", choices=CHOICES["format"], default=None)
         p.add_argument("--config", type=str, default=None,
                        help="JSON file of defaults, overridden by flags")
     return parser
@@ -386,6 +391,14 @@ def resolve_config(args):
         if cfg.get(key) is not None and not _finite_number(cfg[key]):
             name = "lambda" if key == "lam" else key
             raise UsageError(f"{name} must be a finite number, got {cfg[key]!r}")
+    for key in INT_KEYS:
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], int):
+            raise UsageError(f"{key} must be an integer, got {cfg[key]!r}")
+    for key, allowed in CHOICES.items():
+        if cfg[key] not in allowed:
+            raise UsageError(f"{key} must be one of {', '.join(allowed)}, got {cfg[key]!r}")
+    if cfg.get("out") is not None and not isinstance(cfg["out"], str):
+        raise UsageError(f"out must be a path string, got {cfg['out']!r}")
     alpha = cfg.get("alpha")
     if alpha is not None and not (isinstance(alpha, (list, tuple)) and len(alpha) == 3
                                   and all(map(_finite_number, alpha))):

@@ -11,21 +11,6 @@ HERMITICITY_TOL = 1e-10
 PSD_CLAMP = 1e-10
 STATE_NORM_TOL = 1e-12
 
-# dimensions capped at system (2) x control (4!), doubled margin
-MAX_DIM = 48
-
-
-def as_matrix(entries, rows=None, cols=None):
-    """Coerce to a 2-d complex array, optionally checking the shape."""
-    a = np.asarray(entries, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    if rows is not None and a.shape != (rows, cols):
-        raise ValueError(f"expected shape {(rows, cols)}, got {a.shape}")
-    if max(a.shape) > MAX_DIM:
-        raise ValueError(f"dimension {max(a.shape)} exceeds cap {MAX_DIM}")
-    return a
-
 
 def normalize_state(amplitudes):
     """Return a unit-norm complex state vector."""
@@ -45,24 +30,6 @@ def tensor_product(a, b, *rest):
     for m in rest:
         out = np.kron(out, np.asarray(m, dtype=complex))
     return out
-
-
-def dagger(a):
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
-
-
-def matmul(a, b):
-    """Matrix product with an explicit dimension check."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def trace(a):
-    return complex(np.trace(np.asarray(a, dtype=complex)))
 
 
 def det2(a):

@@ -9,11 +9,16 @@ one-line order, identity first). The joint output for Kraus indices i_1..i_n is
 summed over all index tuples. Measuring the control and keeping one outcome
 leaves an unnormalized system state whose trace is the outcome probability.
 
+switch_two and switch_n compute this joint directly from the Kraus operators
+of any channels: the ordered products for every index tuple are built as one
+batched stack per permutation, and the sum over tuples is a single einsum.
+This brute route uses no Pauli algebra, so it is an independent oracle.
+
 For isotropic Pauli channels the same multiset of Pauli factors appears in
 every branch, in different orders, so branch products differ only by signs.
 That reduces every post-selected state to sum_k W_k(p) sigma_k rho sigma_k
 with W_k a degree-n polynomial in p; the polynomial route is exact and fast
-and is cross-checked against the explicit matrix route in the tests.
+and is cross-checked against the brute route in the tests.
 """
 import math
 from dataclasses import dataclass
@@ -24,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from .channels import PAULI
-from .linalg import assert_density_matrix, normalize_state, partial_trace, tensor_product
+from .linalg import assert_density_matrix, normalize_state, partial_trace
 
 DEGENERATE_PROB = 1e-12
 
@@ -112,9 +117,6 @@ class JointState:
     def system_marginal(self):
         return partial_trace(self.matrix, 2, self.control_dim, "A")
 
-    def control_marginal(self):
-        return partial_trace(self.matrix, 2, self.control_dim, "B")
-
 
 @dataclass(frozen=True)
 class PostSelectionResult:
@@ -126,49 +128,48 @@ def _kraus_of(channel):
     return tuple(getattr(channel, "kraus", channel))
 
 
-def switch_two(cha, chb, rho, control):
-    """Two channels in superposition of causal order; control |0> runs cha first."""
+def _switch(channels, rho, control):
+    """Joint state of the channels in superposition of causal order.
+
+    Control branch k applies the copies in the order of permutation k,
+    mapping[0] first. The ordered Kraus products of every index tuple t form
+    one (n!, T, 2, 2) stack O, and the joint is one contraction over tuples:
+    J[(i,a),(l,b)] = c_a conj(c_b) sum_t (O[a,t] rho O[b,t]^dag)[i,l].
+    """
+    n = len(channels)
+    perms = enumerate_permutations(n)
+    d = len(perms)
+    if control.dim != d:
+        raise ValueError(f"control dimension {control.dim} != {n}! = {d}")
     rho = assert_density_matrix(np.asarray(rho, dtype=complex))
     if rho.shape != (2, 2):
         raise ValueError("system state must be a qubit")
-    if control.dim != 2:
-        raise ValueError("two-path switch needs a two-dimensional control")
-    kraus_a = _kraus_of(cha)
-    kraus_b = _kraus_of(chb)
-    joint_in = tensor_product(rho, control.density())
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    out = np.zeros((4, 4), dtype=complex)
-    for a in kraus_a:
-        for b in kraus_b:
-            w = tensor_product(b @ a, p0) + tensor_product(a @ b, p1)
-            out += w @ joint_in @ w.conj().T
-    return JointState(out, 2)
+    # copy c's Kraus index sits on batch axis c, so each product broadcasts
+    # over every index tuple at once
+    kraus = [
+        np.asarray(_kraus_of(ch), dtype=complex).reshape((-1,) + (1,) * (n - 1 - c) + (2, 2))
+        for c, ch in enumerate(channels)
+    ]
+    ops = []
+    for perm in perms:
+        op = np.eye(2, dtype=complex)
+        for copy in perm.mapping:
+            op = kraus[copy] @ op
+        ops.append(op.reshape(-1, 2, 2))
+    ops = np.stack(ops)
+    joint = np.einsum("atij,btlj->ialb", ops @ rho, ops.conj(), optimize=True)
+    joint *= control.density()[:, None, :]
+    return JointState(joint.reshape(2 * d, 2 * d), d)
+
+
+def switch_two(cha, chb, rho, control):
+    """Two channels in superposition of causal order; control |0> runs cha first."""
+    return _switch((cha, chb), rho, control)
 
 
 def switch_n(channel, n, rho, control):
     """n identical channels over all n! pathway orderings."""
-    if n not in SUPPORTED_PATHS:
-        raise ValueError(f"n must be one of {SUPPORTED_PATHS}, got {n}")
-    d = math.factorial(n)
-    if control.dim != d:
-        raise ValueError(f"control dimension {control.dim} != {n}! = {d}")
-    rho = assert_density_matrix(np.asarray(rho, dtype=complex))
-    kraus = _kraus_of(channel)
-    perms = enumerate_permutations(n)
-    joint_in = tensor_product(rho, control.density())
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    for idx in product(range(len(kraus)), repeat=n):
-        w = np.zeros((2 * d, 2 * d), dtype=complex)
-        for k, perm in enumerate(perms):
-            op = np.eye(2, dtype=complex)
-            for copy in perm.mapping:  # mapping[0] acts first
-                op = kraus[idx[copy]] @ op
-            proj = np.zeros((d, d), dtype=complex)
-            proj[k, k] = 1.0
-            w += tensor_product(op, proj)
-        out += w @ joint_in @ w.conj().T
-    return JointState(out, d)
+    return _switch((channel,) * n, rho, control)
 
 
 def project_outcome(joint, outcome):

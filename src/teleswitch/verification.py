@@ -33,6 +33,18 @@ def merit_plus_balanced_exact():
     return antiderivative(p_lo) + antiderivative(1 / 3) - antiderivative(p_hi)
 
 
+def mu_threshold_bisection(tol=1e-10):
+    """Locate the region2 existence boundary by bisection on mu."""
+    lo, hi = 0.0, 0.5
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if analysis.advantage_regions(mid).region2_exists:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -191,7 +203,7 @@ def run_all(seed=42):
         for edge in (regions.p_lo, regions.p_hi):
             f = analysis.switched_fidelity(analysis.SwitchParams(edge, q))
             err = max(err, abs(f - 2 / 3))
-    dev = abs(analysis.mu_threshold_bisection() - 1 / 6)
+    dev = abs(mu_threshold_bisection() - 1 / 6)
     check(
         "advantage_region_boundaries",
         err < 1e-9 and dev < 1e-9,

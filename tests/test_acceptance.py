@@ -99,7 +99,7 @@ def test_criterion_04_advantage_regions(report):
         not analysis.advantage_regions(1 / 6).region2_exists
         and analysis.advantage_regions(1 / 6 + 1e-6).region2_exists
     )
-    mu_star = analysis.mu_threshold_bisection()
+    mu_star = verification.mu_threshold_bisection()
     regions = analysis.advantage_regions(0.5)
     ps = np.linspace(regions.p_hi, 1 / 3, 100)
     fs = [analysis.switched_fidelity(analysis.SwitchParams(p, 0.5)) for p in ps]

@@ -1,9 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from teleswitch import analysis, channels, switch
+from teleswitch import analysis, channels, switch, verification
 
 POLYVAL = np.polynomial.polynomial.polyval
 
@@ -65,7 +66,7 @@ def test_region2_existence_threshold():
     assert not analysis.advantage_regions(1 / 6).region2_exists
     assert not analysis.advantage_regions(0.1).region2_exists
     assert analysis.advantage_regions(1 / 6 + 1e-6).region2_exists
-    assert abs(analysis.mu_threshold_bisection() - 1 / 6) < 1e-9
+    assert abs(verification.mu_threshold_bisection() - 1 / 6) < 1e-9
 
 
 def test_fidelity_strictly_increasing_in_region2():
@@ -107,6 +108,15 @@ def test_evaluate_fidelity_uses_lhopital_at_removable_zero():
     num, den = analysis.fidelity_polynomials(ctrl, m, 3)
     assert abs(POLYVAL(0.0, den)) < 1e-14
     assert analysis.evaluate_fidelity(num, den, 0.0)[0] == pytest.approx(1 / 3, abs=1e-10)
+
+
+def test_evaluate_fidelity_keeps_rare_outcomes_off_lhopital():
+    # outcome |1> at q = 1 - 1e-12 fires with probability ~1e-12 at every p,
+    # and there the switch reduces to plain composition: F = F2
+    ps = np.linspace(0.0, 1 / 3, 7)
+    control = switch.control_qubit(1 - 1e-12)
+    got = analysis.fidelity_profile(control, [0, 1], ps, 2)
+    assert np.max(np.abs(got - channels.no_switch_fidelity(ps, 2))) < 1e-12
 
 
 def test_alternating_outcome_profile_is_linear():
@@ -202,8 +212,13 @@ def test_k_total_closed_forms():
 
 
 def test_k_total_is_outcome_independent_by_construction():
+    # the joint is taken before the control measurement: k_total takes no
+    # outcome, and a relative control phase (a relabelled outcome basis)
+    # leaves it unchanged
     c = switch.control_qubit(0.7)
-    assert analysis.k_total(c, "plus") == analysis.k_total(c, "0")
+    phased = switch.ControlState(c.amplitudes * np.array([1, 1j]))
+    assert list(inspect.signature(analysis.k_total).parameters) == ["control"]
+    assert analysis.k_total(phased) == pytest.approx(analysis.k_total(c), abs=1e-15)
 
 
 def test_k_total_matches_brute_force_quadrature():

@@ -206,6 +206,18 @@ def test_config_file_errors(tmp_path, capsys):
     unknown.write_text(json.dumps({"pstep": 0.1}))
     assert run_cli(["fidelity-curves", "--config", str(unknown)]) == 1
     assert "unknown config key 'pstep'" in capsys.readouterr().err
+    # values of the wrong type or outside a flag's choices
+    for command, payload in (("verify", {"seed": "x"}), ("verify", {"seed": True}),
+                             ("three-path", {"paths": 3.0}),
+                             ("fidelity-curves", {"outcome": "bogus"}),
+                             ("fidelity-curves", {"out": 5}),
+                             ("fidelity-curves", {"format": "xml"})):
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps(payload))
+        assert run_cli([command, "--config", str(typed)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert next(iter(payload)) in err
 
 
 @pytest.mark.parametrize("argv", [

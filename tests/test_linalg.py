@@ -8,21 +8,6 @@ def _random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def test_as_matrix_coerces_and_checks_shape():
-    m = linalg.as_matrix([[1, 2], [3, 4]])
-    assert m.dtype == complex and m.shape == (2, 2)
-    with pytest.raises(ValueError):
-        linalg.as_matrix([1, 2, 3])
-    with pytest.raises(ValueError):
-        linalg.as_matrix([[1, 2], [3, 4]], rows=3, cols=3)
-
-
-def test_as_matrix_rejects_oversized():
-    big = np.zeros((linalg.MAX_DIM + 1, linalg.MAX_DIM + 1))
-    with pytest.raises(ValueError):
-        linalg.as_matrix(big)
-
-
 def test_normalize_state_unit_norm():
     v = linalg.normalize_state([3.0, 4.0j])
     assert abs(np.linalg.norm(v) - 1.0) < 1e-15
@@ -46,18 +31,6 @@ def test_mixed_product_identity():
     lhs = linalg.tensor_product(a, b) @ linalg.tensor_product(c, d)
     rhs = linalg.tensor_product(a @ c, b @ d)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_dagger_and_trace():
-    m = np.array([[1, 2j], [3, 4]], dtype=complex)
-    assert np.allclose(linalg.dagger(m), m.conj().T)
-    assert linalg.trace(m) == pytest.approx(5 + 0j)
-
-
-def test_matmul_checks_dimensions():
-    with pytest.raises(ValueError):
-        linalg.matmul(np.eye(2), np.eye(3))
-    assert np.allclose(linalg.matmul(np.eye(2), np.eye(2)), np.eye(2))
 
 
 def test_det2_value_and_shape_guard():

@@ -1,10 +1,11 @@
-"""Property tests of the batched merit engine over random controls and outcomes."""
+"""Property tests over random controls and outcomes: the batched merit engine,
+and the polynomial route against the brute Kraus route."""
 import math
 
 import numpy as np
 import pytest
 
-from teleswitch import analysis, switch
+from teleswitch import analysis, channels, switch
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -33,3 +34,44 @@ def test_merit_is_batch_invariant_and_phase_blind(n, rows, seed, phase):
     rotated = analysis.merit_grid(controls, np.exp(1j * phase) * outcomes)
     assert np.allclose(rotated, ks, rtol=0.0, atol=1e-14)
     assert np.all(ks >= 0.0) and np.all(ks <= 1 / 9)
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(
+    n=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.floats(0.0, 1 / 3),
+)
+def test_polynomial_route_matches_brute_route(n, seed, p):
+    (control,), outcomes = _random_rows(n, 1, seed)
+    psi = switch.haar_random_state(2, seed)
+    rho = np.outer(psi, psi.conj())
+    num, den = analysis.fidelity_polynomials(control, outcomes[0], n)
+    prob = np.polynomial.polynomial.polyval(p, den)
+    # F = num/den loses digits as the outcome probability goes to zero
+    hypothesis.assume(prob > 1e-6)
+    joint = switch.switch_n(channels.isotropic_channel(p), n, rho, control)
+    selected = switch.post_select(joint, outcomes[0])
+    fidelity = channels.qubit_fidelity(rho, selected.state)
+    assert abs(selected.probability - prob) < 1e-12
+    assert abs(fidelity - analysis.fidelity_profile(control, outcomes[0], p, n)[0]) < 1e-10
+    assert -1e-12 <= fidelity <= 1 + 1e-12
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(
+    n=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.floats(0.0, 1 / 3),
+)
+def test_outcome_probabilities_over_a_basis_sum_to_one(n, seed, p):
+    rng = np.random.default_rng(seed)
+    d = math.factorial(n)
+    control = switch.ControlState(switch.haar_random_state(d, rng))
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    psi = switch.haar_random_state(2, rng)
+    joint = switch.switch_n(channels.isotropic_channel(p), n, np.outer(psi, psi.conj()), control)
+    probs = [np.trace(switch.project_outcome(joint, m)).real for m in basis.T]
+    assert abs(sum(probs) - 1.0) < 1e-12
+    dens = sum(analysis.fidelity_polynomials(control, m, n)[1] for m in basis.T)
+    assert np.allclose(dens, np.eye(1, n + 1)[0], rtol=0.0, atol=1e-12)

@@ -62,6 +62,26 @@ def test_switch_two_definite_order_limits():
     assert np.max(np.abs(sel.state - composed)) < 1e-12
 
 
+def _kraus_apply(kraus, rho):
+    return sum(k @ rho @ k.conj().T for k in kraus)
+
+
+def test_switch_two_orders_two_different_channels():
+    # amplitude damping and a bit flip do not commute, so the two definite
+    # orders give different marginals: control |0> runs the first channel first
+    gamma = 0.35
+    damping = [np.array([[1, 0], [0, math.sqrt(1 - gamma)]]),
+               np.array([[0, math.sqrt(gamma)], [0, 0]])]
+    flip = [math.sqrt(0.7) * np.eye(2), math.sqrt(0.3) * channels.PAULI[1]]
+    rho = _pure(np.random.default_rng(23))
+    first_damping = _kraus_apply(flip, _kraus_apply(damping, rho))
+    first_flip = _kraus_apply(damping, _kraus_apply(flip, rho))
+    assert np.max(np.abs(first_damping - first_flip)) > 1e-2
+    for q, want in ((1.0, first_damping), (0.0, first_flip)):
+        joint = switch.switch_two(damping, flip, rho, switch.control_qubit(q))
+        assert np.max(np.abs(joint.system_marginal() - want)) < 1e-12
+
+
 def test_switch_two_input_validation():
     ch = channels.isotropic_channel(0.1)
     good = np.eye(2, dtype=complex) / 2
@@ -160,6 +180,20 @@ def test_switch_n_three_paths_trace_and_dimension_guards():
         switch.switch_n(ch, 3, rho, switch.control_qubit(0.5))
     with pytest.raises(ValueError):
         switch.switch_n(ch, 5, rho, switch.uniform_control(3))
+    with pytest.raises(ValueError):
+        switch.switch_n(ch, 3, np.eye(3) / 3, switch.uniform_control(3))
+
+
+def test_brute_route_does_not_use_the_polynomial_route(monkeypatch):
+    # the brute switch is the independent oracle of the count-tensor route
+    def forbidden(*args):
+        raise AssertionError("brute route called the polynomial route")
+
+    monkeypatch.setattr(switch, "branch_pair_weight_counts", forbidden)
+    monkeypatch.setattr(switch, "post_selected_weight_stack", forbidden)
+    rho = _pure(np.random.default_rng(24))
+    joint = switch.switch_n(channels.isotropic_channel(0.15), 3, rho, switch.uniform_control(3))
+    assert abs(np.trace(joint.matrix) - 1.0) < 1e-12
 
 
 def test_polynomials_match_brute_force_three_paths():
