@@ -29,10 +29,8 @@ from .switch import (
 
 CLASSICAL_THRESHOLD = 2 / 3
 
-# below this, a polynomial value of the success probability counts as zero
-_PROB_FLOOR = 1e-11
-
-# |den(p)| below this fraction of den's largest coefficient is a 0/0 point
+# |den(p)| at or below this fraction of den's largest coefficient is a 0/0
+# point, for every fidelity curve
 _ZERO_DEN = 1e-11
 
 # an outcome whose probability polynomial has no coefficient above this never fires
@@ -229,19 +227,23 @@ def _lhopital(num, den, p):
     raise DegenerateOutcomeError(f"outcome probability vanishes identically near p={p}")
 
 
+def _ratio(num, den, ps):
+    """num/den at the array ps, and the mask of its 0/0 points (left at 0)."""
+    nv = P.polyval(ps, num)
+    dv = P.polyval(ps, den)
+    zero = np.abs(dv) <= _ZERO_DEN * np.max(np.abs(den))
+    return np.divide(nv, dv, out=np.zeros_like(nv), where=~zero), zero
+
+
 def evaluate_fidelity(num, den, ps):
     """F(p) = num/den elementwise, filling isolated 0/0 points by L'Hopital.
 
-    A point is 0/0 where |den(p)| is below _ZERO_DEN times den's largest
+    A point is 0/0 where |den(p)| is at most _ZERO_DEN times den's largest
     coefficient, so an outcome that fires rarely still gets its ratio.
     """
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
-    nv = P.polyval(ps, num)
-    dv = P.polyval(ps, den)
-    out = np.empty_like(nv)
-    ok = np.abs(dv) > _ZERO_DEN * np.max(np.abs(den))
-    out[ok] = nv[ok] / dv[ok]
-    for i in np.nonzero(~ok)[0]:
+    out, zero = _ratio(num, den, ps)
+    for i in np.nonzero(zero)[0]:
         out[i] = _lhopital(num, den, ps[i])
     return out
 
@@ -398,20 +400,17 @@ class ProfilePoint:
 def alpha_fidelity_profile(alpha, p_grid):
     """Fidelity curve of the three-path switch post-selected on an alpha outcome.
 
-    Requires the uniform six-dimensional control. At grid points where the
-    outcome probability vanishes identically (e.g. the alternating outcome at
-    p = 0) the reported value is the fidelity of the control-traced marginal,
+    Requires the uniform six-dimensional control. F = num/den is evaluated as
+    in evaluate_fidelity, with the same 0/0 mask; at a masked point (e.g. the
+    alternating outcome at p = 0, where the outcome never fires) the reported
+    value is not the limit but the fidelity of the control-traced marginal,
     which equals the no-switch triple-channel fidelity, and the point is
     flagged degenerate.
     """
     control = uniform_control(3)
     outcome = alpha.vector() if hasattr(alpha, "vector") else AlphaOutcome(*alpha).vector()
     num, den = fidelity_polynomials(control, outcome, 3)
-    points = []
-    for p in np.asarray(p_grid, dtype=float):
-        prob = float(P.polyval(p, den))
-        if prob > _PROB_FLOOR:
-            points.append(ProfilePoint(float(p), float(P.polyval(p, num) / prob), False))
-        else:
-            points.append(ProfilePoint(float(p), float(no_switch_fidelity(p, 3)), True))
-    return points
+    ps = np.atleast_1d(np.asarray(p_grid, dtype=float))
+    fs, zero = _ratio(num, den, ps)
+    fs[zero] = no_switch_fidelity(ps[zero], 3)
+    return [ProfilePoint(*point) for point in zip(ps.tolist(), fs.tolist(), zero.tolist())]

@@ -175,14 +175,10 @@ def cmd_fidelity_curves(cfg):
     if not 0.0 <= q <= 1.0:
         raise UsageError(f"q={q} outside [0, 1]")
     outcome, label = _outcome_vector(cfg)
-    control = switch.control_qubit(q)
-    num, den = analysis.fidelity_polynomials(control, outcome, 2)
     ps = _p_grid(cfg)
-    fs = analysis.evaluate_fidelity(num, den, ps)
-    rows = [
-        [p, channels.no_switch_fidelity(p, 1), channels.no_switch_fidelity(p, 2), f, 2 / 3]
-        for p, f in zip(ps, fs)
-    ]
+    fs = analysis.fidelity_profile(switch.control_qubit(q), outcome, ps, 2)
+    f1, f2 = channels.no_switch_fidelity(ps, 1), channels.no_switch_fidelity(ps, 2)
+    rows = [[p, a, b, f, 2 / 3] for p, a, b, f in zip(ps, f1, f2, fs)]
     columns = ["p", "F1", "F2", f"F_switch_{label}", "classical_threshold"]
     _emit_tables(cfg, "fidelity-curves", {"q": q, "outcome": label}, [("", columns, rows)])
 
@@ -193,12 +189,14 @@ def cmd_region_map(cfg):
         regions = analysis.advantage_regions(mu)
         region_rows.append([float(mu), regions.p_lo, regions.p_hi, regions.region2_exists])
     ps = _p_grid(cfg)
-    surface_rows = []
-    for q in np.linspace(0.0, 1.0, 51):
-        for p in ps:
-            surface_rows.append(
-                [p, q, analysis.switched_fidelity(analysis.SwitchParams(p, q))]
-            )
+    qs = np.linspace(0.0, 1.0, 51)
+    # every column first, then the rows: interleaving the two raised the peak
+    # RSS of a 1e-4 grid by ~10 MB in a long-running process
+    surfaces = [
+        analysis.fidelity_profile(switch.control_qubit(q), OUTCOME_VECTORS["plus"], ps, 2)
+        for q in qs
+    ]
+    surface_rows = [[p, q, f] for q, fs in zip(qs, surfaces) for p, f in zip(ps, fs)]
     tables = [
         ("", ["mu", "p_lo", "p_hi", "region2_exists"], region_rows),
         ("surface", ["p", "q", "F"], surface_rows),
@@ -229,10 +227,11 @@ def cmd_fom_scan(cfg):
 def cmd_tradeoff(cfg):
     qs = np.linspace(0.5, 1.0, 21)
     controls = [switch.control_qubit(q) for q in qs]
+    k_totals = [analysis.k_total(control) for control in controls]
     ks = {label: analysis.merit_grid(controls, m) for label, m in OUTCOME_VECTORS.items()}
     rows = [
-        [float(q), analysis.k_total(control), ks[label][i], label]
-        for i, (q, control) in enumerate(zip(qs, controls))
+        [float(q), k_totals[i], ks[label][i], label]
+        for i, q in enumerate(qs)
         for label in OUTCOME_VECTORS
     ]
     _emit_tables(
@@ -281,17 +280,11 @@ def cmd_three_path(cfg):
     columns = ["p"]
     columns += [f"F{a.label()}" for a in alphas]
     columns += ["F3_no_switch", "degenerate"]
+    f3 = channels.no_switch_fidelity(ps, 3)
     rows = []
-    for i, p in enumerate(ps):
-        row = [float(p)]
-        flagged = []
-        for a, prof in zip(alphas, profiles):
-            row.append(prof[i].fidelity)
-            if prof[i].degenerate:
-                flagged.append(a.label())
-        row.append(float(channels.no_switch_fidelity(p, 3)))
-        row.append(";".join(flagged))
-        rows.append(row)
+    for p, f, *points in zip(ps.tolist(), f3.tolist(), *profiles):
+        flagged = [a.label() for a, pt in zip(alphas, points) if pt.degenerate]
+        rows.append([p, *(pt.fidelity for pt in points), f, ";".join(flagged)])
     _emit_tables(
         cfg,
         "three-path",

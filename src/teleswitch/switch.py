@@ -194,6 +194,10 @@ def post_select(joint, outcome):
     return PostSelectionResult(sub / probability, probability)
 
 
+# _PAULI_PAIRS[i, j] = sigma_i sigma_j
+_PAULI_PAIRS = np.array([[a @ b for b in PAULI] for a in PAULI])
+
+
 def closed_form_two(p, q, sign, rho):
     """Unnormalized post-measurement state of the two-path switch, term by term:
 
@@ -212,19 +216,15 @@ def closed_form_two(p, q, sign, rho):
     s = 1.0 if sign == "+" else -1.0
     mu = math.sqrt(q * (1 - q))
     weights = np.array([1 - 3 * p, p, p, p])
-    out = np.zeros((2, 2), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            sij = PAULI[i] @ PAULI[j]
-            sji = PAULI[j] @ PAULI[i]
-            term = (
-                q * (sij @ rho @ sji)
-                + s * mu * (sij @ rho @ sij)
-                + s * mu * (sji @ rho @ sji)
-                + (1 - q) * (sji @ rho @ sij)
-            )
-            out += (weights[i] * weights[j] / 2) * term
-    return out
+    sij, sji = _PAULI_PAIRS, _PAULI_PAIRS.transpose(1, 0, 2, 3)
+    terms = (
+        q * (sij @ rho @ sji)
+        + s * mu * (sij @ rho @ sij)
+        + s * mu * (sji @ rho @ sji)
+        + (1 - q) * (sji @ rho @ sij)
+    )
+    coeffs = np.outer(weights, weights) / 2
+    return (coeffs[..., None, None] * terms).reshape(16, 2, 2).sum(axis=0)
 
 
 def haar_random_state(dim, rng):

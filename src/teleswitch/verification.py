@@ -219,11 +219,12 @@ def run_all(seed=42):
 
     # --- multi-path ----------------------------------------------------------
     rho = _haar_qubit_density(rng)
-    ch = channels.isotropic_channel(0.17)
-    ctrl = switch.control_qubit(0.42)
-    j2 = switch.switch_two(ch, ch, rho, ctrl)
-    jn = switch.switch_n(ch, 2, rho, ctrl)
-    err = float(np.max(np.abs(j2.matrix - jn.matrix)))
+    jn = switch.switch_n(channels.isotropic_channel(0.17), 2, rho, switch.control_qubit(0.42))
+    err = max(
+        float(np.max(np.abs(switch.project_outcome(jn, outcome)
+                            - switch.closed_form_two(0.17, 0.42, sign, rho))))
+        for sign, outcome in (("+", [1, 1]), ("-", [1, -1]))
+    )
     check("n2_reduction_of_switch_n", err < 1e-12, f"max dev {err:.3e}")
 
     alt = analysis.AlphaOutcome(-1, -1, -1)

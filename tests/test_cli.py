@@ -93,7 +93,15 @@ def test_region_map_requires_out_for_csv(capsys):
     capsys.readouterr()
 
 
-def test_region_map_writes_two_tables(tmp_path):
+def test_region_map_writes_two_tables(tmp_path, monkeypatch):
+    emitted = {}
+
+    def capture(cfg, command, params, tables):
+        emitted.update((suffix, rows) for suffix, _, rows in tables)
+        emit(cfg, command, params, tables)
+
+    emit = cli._emit_tables
+    monkeypatch.setattr(cli, "_emit_tables", capture)
     out = tmp_path / "rm.csv"
     assert run_cli(["region-map", "--p-step", "0.1", "--out", str(out)]) == 0
     main_rows = list(csv.reader(out.read_text().splitlines()))
@@ -103,7 +111,10 @@ def test_region_map_writes_two_tables(tmp_path):
     assert by_mu[0.5][3] == "true"
     surface = (tmp_path / "rm_surface.csv").read_text().splitlines()
     assert surface[0].split(",") == ["p", "q", "F"]
-    assert len(surface) > 10
+    assert len(surface) == 1 + 51 * 5
+    # the surface comes from the polynomial route; the paper's closed form checks it
+    for p, q, f in emitted["surface"]:
+        assert abs(f - analysis.switched_fidelity(analysis.SwitchParams(p, q))) < 1e-13
 
 
 def test_region_map_json_single_payload(tmp_path):

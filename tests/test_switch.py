@@ -148,6 +148,31 @@ def test_closed_form_two_matches_brute_force_both_signs():
                     assert np.max(np.abs(brute - closed)) < 1e-10
 
 
+def test_closed_form_two_matches_term_by_term_loop():
+    # the paper's sum written as a plain double loop over Pauli pairs
+    def loop(p, q, sign, rho):
+        s = 1.0 if sign == "+" else -1.0
+        mu = math.sqrt(q * (1 - q))
+        w = np.array([1 - 3 * p, p, p, p])
+        out = np.zeros((2, 2), dtype=complex)
+        for i in range(4):
+            for j in range(4):
+                sij = channels.PAULI[i] @ channels.PAULI[j]
+                sji = channels.PAULI[j] @ channels.PAULI[i]
+                out += (w[i] * w[j] / 2) * (
+                    q * (sij @ rho @ sji) + s * mu * (sij @ rho @ sij)
+                    + s * mu * (sji @ rho @ sji) + (1 - q) * (sji @ rho @ sij)
+                )
+        return out
+
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        p, q = rng.uniform(0, 1 / 3), rng.uniform(0, 1)
+        sign, rho = ("+", "-")[rng.integers(2)], _pure(rng)
+        got = switch.closed_form_two(p, q, sign, rho)
+        assert np.max(np.abs(got - loop(p, q, sign, rho))) <= 1e-15
+
+
 def test_closed_form_two_validates_arguments():
     rho = np.eye(2, dtype=complex) / 2
     with pytest.raises(ValueError):
@@ -159,14 +184,15 @@ def test_closed_form_two_validates_arguments():
 
 
 def test_switch_n_matches_switch_two_for_two_paths():
+    # switch_two and switch_n share one core, so switch_n(ch, 2) is checked
+    # against the paper's term-by-term closed form instead
     rng = np.random.default_rng(19)
     rho = _pure(rng)
-    ch = channels.isotropic_channel(0.17)
-    ctrl = switch.control_qubit(0.42)
-    j2 = switch.switch_two(ch, ch, rho, ctrl)
-    jn = switch.switch_n(ch, 2, rho, ctrl)
+    jn = switch.switch_n(channels.isotropic_channel(0.17), 2, rho, switch.control_qubit(0.42))
     assert jn.control_dim == 2
-    assert np.max(np.abs(j2.matrix - jn.matrix)) < 1e-12
+    for sign, outcome in (("+", [1, 1]), ("-", [1, -1])):
+        closed = switch.closed_form_two(0.17, 0.42, sign, rho)
+        assert np.max(np.abs(switch.project_outcome(jn, outcome) - closed)) < 1e-12
 
 
 def test_switch_n_three_paths_trace_and_dimension_guards():
