@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 verification failure, 3 numerical
 failure (an outcome that never fires).
 """
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -43,6 +44,10 @@ INT_KEYS = ("seed", "paths")
 # largest p grid any subcommand builds
 MAX_P_POINTS = 100_000
 
+# rows formatted and written at a time: formatting whole columns at once holds
+# the text of every cell and raised the peak RSS of a long-running process
+CSV_BLOCK_ROWS = 4096
+
 OUTCOME_VECTORS = {
     "plus": np.array([1.0, 1.0]) / math.sqrt(2),
     "minus": np.array([1.0, -1.0]) / math.sqrt(2),
@@ -73,56 +78,61 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return f"{value:.12g}"
-    return str(value)
+def _cells(column):
+    """One column as text: floats at 12 significant digits, booleans as true/false."""
+    if column.dtype.kind == "f":
+        return [f"{v:.12g}" for v in column.tolist()]
+    if column.dtype.kind == "b":
+        return ["true" if v else "false" for v in column.tolist()]
+    return column.tolist()
 
 
 def _json_value(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (float, np.floating)):
-        return float(f"{value:.12g}")
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
+    return float(f"{value:.12g}") if isinstance(value, float) else value
 
 
-def _write_csv(path, columns, rows):
-    handle = open(path, "w", newline="") if path else sys.stdout
+def _output(path, newline=None):
+    """The file at path opened for writing, or stdout when there is no path."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
     try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file: {exc}") from None
+
+
+def _write_csv(path, names, values):
+    with _output(path, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\r\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    finally:
-        if path:
-            handle.close()
+        writer.writerow(names)
+        for start in range(0, len(values[0]), CSV_BLOCK_ROWS):
+            cells = [_cells(column[start:start + CSV_BLOCK_ROWS]) for column in values]
+            writer.writerows(zip(*cells))
 
 
 def _write_json(path, payload):
-    text = json.dumps(payload, indent=2) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _output(path) as handle:
+        handle.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_tables(cfg, command, params, tables):
-    """tables: list of (suffix, columns, rows); suffix '' names the main table."""
+    """Write tables given as columns.
+
+    tables: list of (suffix, column names, column values), where the values
+    are one equal-length 1-D array per name and suffix '' names the main
+    table. A CSV table is formatted and written CSV_BLOCK_ROWS rows at a time;
+    JSON rows are built from the columns.
+    """
     if cfg["format"] == "json":
         payload = {
             "command": command,
             "params": {k: _json_value(v) for k, v in params.items()},
             "tables": {
                 suffix or "main": {
-                    "columns": list(columns),
-                    "rows": [[_json_value(v) for v in row] for row in rows],
+                    "columns": list(names),
+                    "rows": list(zip(*([_json_value(v) for v in c.tolist()] for c in values))),
                 }
-                for suffix, columns, rows in tables
+                for suffix, names, values in tables
             },
         }
         _write_json(cfg.get("out"), payload)
@@ -130,13 +140,13 @@ def _emit_tables(cfg, command, params, tables):
     out = cfg.get("out")
     if len(tables) > 1 and not out:
         raise UsageError("this command writes multiple CSV tables; --out is required")
-    for suffix, columns, rows in tables:
+    for suffix, names, values in tables:
         if out:
             base = Path(out)
             path = base if not suffix else base.with_name(f"{base.stem}_{suffix}{base.suffix}")
         else:
             path = None
-        _write_csv(path, columns, rows)
+        _write_csv(path, names, values)
 
 
 def _p_grid(cfg):
@@ -151,7 +161,8 @@ def _p_grid(cfg):
     grid = np.arange(p_min, p_max + p_step / 2, p_step)
     if grid.size == 0 or grid[-1] < p_max - 1e-12:
         grid = np.append(grid, p_max)
-    return np.minimum(grid, 1 / 3)
+    # + 0.0 turns the -0.0 of --p-min -0 into 0.0 and leaves every other p alone
+    return np.minimum(grid, 1 / 3) + 0.0
 
 
 def _outcome_vector(cfg):
@@ -178,28 +189,26 @@ def cmd_fidelity_curves(cfg):
     ps = _p_grid(cfg)
     fs = analysis.fidelity_profile(switch.control_qubit(q), outcome, ps, 2)
     f1, f2 = channels.no_switch_fidelity(ps, 1), channels.no_switch_fidelity(ps, 2)
-    rows = [[p, a, b, f, 2 / 3] for p, a, b, f in zip(ps, f1, f2, fs)]
-    columns = ["p", "F1", "F2", f"F_switch_{label}", "classical_threshold"]
-    _emit_tables(cfg, "fidelity-curves", {"q": q, "outcome": label}, [("", columns, rows)])
+    values = [ps, f1, f2, fs, np.full(len(ps), 2 / 3)]
+    names = ["p", "F1", "F2", f"F_switch_{label}", "classical_threshold"]
+    _emit_tables(cfg, "fidelity-curves", {"q": q, "outcome": label}, [("", names, values)])
 
 
 def cmd_region_map(cfg):
-    region_rows = []
-    for mu in np.linspace(0.0, 0.5, 101):
-        regions = analysis.advantage_regions(mu)
-        region_rows.append([float(mu), regions.p_lo, regions.p_hi, regions.region2_exists])
+    mus = np.linspace(0.0, 0.5, 101)
+    regions = [analysis.advantage_regions(mu) for mu in mus]
+    bounds = np.array([(r.p_lo, r.p_hi) for r in regions]).T
+    exists = np.array([r.region2_exists for r in regions])
     ps = _p_grid(cfg)
     qs = np.linspace(0.0, 1.0, 51)
-    # every column first, then the rows: interleaving the two raised the peak
-    # RSS of a 1e-4 grid by ~10 MB in a long-running process
-    surfaces = [
+    # q-major: one fidelity column per q
+    fs = np.concatenate([
         analysis.fidelity_profile(switch.control_qubit(q), OUTCOME_VECTORS["plus"], ps, 2)
         for q in qs
-    ]
-    surface_rows = [[p, q, f] for q, fs in zip(qs, surfaces) for p, f in zip(ps, fs)]
+    ])
     tables = [
-        ("", ["mu", "p_lo", "p_hi", "region2_exists"], region_rows),
-        ("surface", ["p", "q", "F"], surface_rows),
+        ("", ["mu", "p_lo", "p_hi", "region2_exists"], [mus, *bounds, exists]),
+        ("surface", ["p", "q", "F"], [np.tile(ps, len(qs)), np.repeat(qs, len(ps)), fs]),
     ]
     _emit_tables(cfg, "region-map", {"p_step": cfg["p_step"]}, tables)
 
@@ -207,51 +216,35 @@ def cmd_region_map(cfg):
 def _scan_grids(cfg):
     lams = [cfg["lam"]] if cfg.get("lam") is not None else np.linspace(0.0, 2.0, 41)
     phis = [cfg["phi"]] if cfg.get("phi") is not None else np.arange(0.0, 2 * math.pi, math.pi / 90)
-    return lams, phis
+    return np.asarray(lams, dtype=float), np.asarray(phis, dtype=float)
 
 
 def cmd_fom_scan(cfg):
     control = switch.control_qubit(cfg["q"])
     lams, phis = _scan_grids(cfg)
     ks = analysis.merit_grid(control, analysis.OutcomeFamily2.grid(lams, phis))
-    pairs = ((lam, phi) for lam in lams for phi in phis)
-    rows = [[float(lam), float(phi), k] for (lam, phi), k in zip(pairs, ks)]
-    _emit_tables(
-        cfg,
-        "fom-scan",
-        {"q": cfg["q"]},
-        [("", ["lambda", "phi", "K"], rows)],
-    )
+    # lambda-major, like the grid
+    values = [np.repeat(lams, len(phis)), np.tile(phis, len(lams)), ks]
+    _emit_tables(cfg, "fom-scan", {"q": cfg["q"]}, [("", ["lambda", "phi", "K"], values)])
 
 
 def cmd_tradeoff(cfg):
     qs = np.linspace(0.5, 1.0, 21)
     controls = [switch.control_qubit(q) for q in qs]
-    k_totals = [analysis.k_total(control) for control in controls]
-    ks = {label: analysis.merit_grid(controls, m) for label, m in OUTCOME_VECTORS.items()}
-    rows = [
-        [float(q), k_totals[i], ks[label][i], label]
-        for i, q in enumerate(qs)
-        for label in OUTCOME_VECTORS
-    ]
-    _emit_tables(
-        cfg,
-        "tradeoff",
-        {},
-        [("", ["q", "K_total", "K", "outcome_label"], rows)],
-    )
+    # q-major, then one row per outcome label
+    labels = list(OUTCOME_VECTORS)
+    k_totals = np.repeat([analysis.k_total(control) for control in controls], len(labels))
+    ks = np.stack([analysis.merit_grid(controls, m) for m in OUTCOME_VECTORS.values()], axis=1)
+    values = [np.repeat(qs, len(labels)), k_totals, ks.ravel(), np.tile(labels, len(qs))]
+    _emit_tables(cfg, "tradeoff", {}, [("", ["q", "K_total", "K", "outcome_label"], values)])
 
 
 def cmd_coherence_scan(cfg):
     controls = [switch.control_qubit(q) for q in np.linspace(1.0, 0.5, 41)]
+    coherence = np.array([analysis.l1_coherence(c.amplitudes) for c in controls])
     ks = analysis.merit_grid(controls, OUTCOME_VECTORS["plus"])
-    rows = [[analysis.l1_coherence(c.amplitudes), k] for c, k in zip(controls, ks)]
-    _emit_tables(
-        cfg,
-        "coherence-scan",
-        {"outcome": "plus"},
-        [("", ["coherence", "K_optimal"], rows)],
-    )
+    tables = [("", ["coherence", "K_optimal"], [coherence, ks])]
+    _emit_tables(cfg, "coherence-scan", {"outcome": "plus"}, tables)
 
 
 def cmd_three_path(cfg):
@@ -261,36 +254,23 @@ def cmd_three_path(cfg):
     if cfg.get("lam") is not None or cfg.get("phi") is not None:
         lams, phis = _scan_grids(cfg)
         ks = analysis.merit_grid(control, analysis.OutcomeFamily3.grid(lams, phis))
-        ks = ks.reshape(len(lams), len(phis))
-        rows = [
-            [float(phi), float(lam), ks[i, j]]
-            for j, phi in enumerate(phis)
-            for i, lam in enumerate(lams)
-        ]
-        _emit_tables(
-            cfg,
-            "three-path",
-            {"mode": "phase-scan"},
-            [("", ["phi", "lambda", "K"], rows)],
-        )
+        # phi-major: the transpose of the lambda-major grid
+        ks = ks.reshape(len(lams), len(phis)).T.ravel()
+        values = [np.repeat(phis, len(lams)), np.tile(lams, len(phis)), ks]
+        tables = [("", ["phi", "lambda", "K"], values)]
+        _emit_tables(cfg, "three-path", {"mode": "phase-scan"}, tables)
         return
     alphas = (analysis.AlphaOutcome(*cfg["alpha"]),) if cfg.get("alpha") else CAPTION_ALPHAS
     ps = _p_grid(cfg)
     profiles = [analysis.alpha_fidelity_profile(a, ps) for a in alphas]
-    columns = ["p"]
-    columns += [f"F{a.label()}" for a in alphas]
-    columns += ["F3_no_switch", "degenerate"]
-    f3 = channels.no_switch_fidelity(ps, 3)
-    rows = []
-    for p, f, *points in zip(ps.tolist(), f3.tolist(), *profiles):
-        flagged = [a.label() for a, pt in zip(alphas, points) if pt.degenerate]
-        rows.append([p, *(pt.fidelity for pt in points), f, ";".join(flagged)])
-    _emit_tables(
-        cfg,
-        "three-path",
-        {"mode": "alpha-profile"},
-        [("", columns, rows)],
-    )
+    labels = [a.label() for a in alphas]
+    # per p, the labels of the profiles flagged degenerate there
+    degenerate = np.array([";".join(lb for lb, pt in zip(labels, points) if pt.degenerate)
+                           for points in zip(*profiles)])
+    fidelities = [np.array([pt.fidelity for pt in points]) for points in profiles]
+    names = ["p", *(f"F{label}" for label in labels), "F3_no_switch", "degenerate"]
+    values = [ps, *fidelities, channels.no_switch_fidelity(ps, 3), degenerate]
+    _emit_tables(cfg, "three-path", {"mode": "alpha-profile"}, [("", names, values)])
 
 
 def cmd_verify(cfg):

@@ -1,6 +1,8 @@
 import csv
+import io
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -97,7 +99,7 @@ def test_region_map_writes_two_tables(tmp_path, monkeypatch):
     emitted = {}
 
     def capture(cfg, command, params, tables):
-        emitted.update((suffix, rows) for suffix, _, rows in tables)
+        emitted.update((suffix, values) for suffix, _, values in tables)
         emit(cfg, command, params, tables)
 
     emit = cli._emit_tables
@@ -113,8 +115,87 @@ def test_region_map_writes_two_tables(tmp_path, monkeypatch):
     assert surface[0].split(",") == ["p", "q", "F"]
     assert len(surface) == 1 + 51 * 5
     # the surface comes from the polynomial route; the paper's closed form checks it
-    for p, q, f in emitted["surface"]:
+    for p, q, f in zip(*emitted["surface"]):
         assert abs(f - analysis.switched_fidelity(analysis.SwitchParams(p, q))) < 1e-13
+
+
+def _fmt(value):
+    """The cell formatter of the row-by-row CSV writer, kept as the reference."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def _row_writer_bytes(names, values):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(names)
+    for row in zip(*values):
+        writer.writerow([_fmt(v) for v in row])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fidelity-curves"],
+    ["fom-scan", "--lambda", "1"],
+    ["tradeoff"],
+    ["coherence-scan"],
+    ["three-path"],
+    ["region-map"],
+])
+def test_block_writer_matches_row_writer(argv, tmp_path, monkeypatch):
+    emitted = []
+
+    def capture(cfg, command, params, tables):
+        emitted.extend(tables)
+        emit(cfg, command, params, tables)
+
+    emit = cli._emit_tables
+    monkeypatch.setattr(cli, "_emit_tables", capture)
+    out = tmp_path / "t.csv"
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    for suffix, names, values in emitted:
+        path = tmp_path / f"t_{suffix}.csv" if suffix else out
+        assert path.read_bytes() == _row_writer_bytes(names, values)
+    if argv[0] == "region-map":
+        # several full blocks and a partial last one
+        rows = len(emitted[1][2][0])
+        assert rows == 51 * 335
+        assert rows > 2 * cli.CSV_BLOCK_ROWS and rows % cli.CSV_BLOCK_ROWS
+    if argv[0] == "three-path":
+        assert b'"F(-1,-1,-1)"' in out.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["fidelity-curves", "three-path", "region-map"])
+def test_negative_zero_p_min_prints_zero(command, tmp_path):
+    out = tmp_path / "t.csv"
+    assert run_cli([command, "--p-min", "-0", "--p-step", "0.1", "--out", str(out)]) == 0
+    table = tmp_path / "t_surface.csv" if command == "region-map" else out
+    ps = [row[0] for row in csv.reader(table.read_text().splitlines()[1:])]
+    assert ps[0] == "0" and "-0" not in ps
+
+
+def test_scan_axes_print_as_floats(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": 10**13, "phi": 0}))
+    assert run_cli(["fom-scan", "--config", str(cfg)]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[1][:2] == ["1e+13", "0"]
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["fidelity-curves"], "missing/x.csv"),
+    (["region-map"], "."),
+    (["fom-scan", "--lambda", "1", "--format", "json"], "missing/x.json"),
+    (["verify"], "missing/x.json"),
+])
+def test_unwritable_out_exits_one(argv, target, tmp_path, capsys):
+    assert run_cli([*argv, "--out", str(tmp_path / target)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert err.startswith("teleswitch: error: cannot write output file")
 
 
 def test_region_map_json_single_payload(tmp_path):
@@ -312,10 +393,14 @@ def test_verify_failure_exits_two(monkeypatch, capsys):
 
 
 def test_console_script_is_installed():
+    # the child imports the package from where this process found it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "teleswitch.cli", "fidelity-curves", "--p-step", "0.2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("p,F1,F2")
