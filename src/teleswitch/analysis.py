@@ -228,30 +228,58 @@ def _lhopital(num, den, p):
 
 
 def _ratio(num, den, ps):
-    """num/den at the array ps, and the mask of its 0/0 points (left at 0)."""
-    nv = P.polyval(ps, num)
-    dv = P.polyval(ps, den)
-    zero = np.abs(dv) <= _ZERO_DEN * np.max(np.abs(den))
-    return np.divide(nv, dv, out=np.zeros_like(nv), where=~zero), zero
+    """(F, 0/0 mask) of num/den for each row of (G, deg + 1) stacks at the p values ps.
+
+    The mask is relative to each row's den (see _ZERO_DEN), so an outcome that
+    fires rarely still gets its ratio; masked points take the L'Hopital limit.
+    """
+    ps = np.atleast_1d(np.asarray(ps, dtype=float))
+    nv = P.polyval(ps, num.T)
+    dv = P.polyval(ps, den.T)
+    zero = np.abs(dv) <= _ZERO_DEN * np.max(np.abs(den), axis=1, keepdims=True)
+    out = np.divide(nv, dv, out=nv, where=~zero)
+    for g, i in zip(*np.nonzero(zero)):
+        out[g, i] = _lhopital(num[g], den[g], ps[i])
+    return out, zero
 
 
 def evaluate_fidelity(num, den, ps):
-    """F(p) = num/den elementwise, filling isolated 0/0 points by L'Hopital.
+    """F(p) = num/den elementwise, filling isolated 0/0 points by L'Hopital."""
+    return _ratio(np.atleast_2d(num), np.atleast_2d(den), ps)[0][0]
 
-    A point is 0/0 where |den(p)| is at most _ZERO_DEN times den's largest
-    coefficient, so an outcome that fires rarely still gets its ratio.
+
+def _rows(controls, outcomes, n):
+    """(control amplitudes, normalized outcomes, n) of a stack of rows, broadcast and checked."""
+    controls = [controls] if isinstance(controls, ControlState) else controls
+    amps = np.array([c.amplitudes for c in controls])
+    amps, outcomes = np.broadcast_arrays(amps, np.atleast_2d(np.asarray(outcomes, complex)))
+    if n is None:
+        n = _paths_from_dim(amps.shape[-1])
+    if amps.ndim != 2 or amps.shape[1] != math.factorial(n):
+        raise ValueError("outcomes must be a (d,) vector or a (G, d) stack with d = n!")
+    # normalize_state's norm, row by row, so curves match fidelity_polynomials bit for bit
+    re, im = outcomes.real, outcomes.imag
+    norms = np.sqrt(re[:, None] @ re[..., None] + im[:, None] @ im[..., None])[:, 0]
+    if not np.all(np.isfinite(norms) & (norms >= STATE_NORM_TOL)):
+        raise ValueError("outcomes must be finite and nonzero")
+    return amps, outcomes / norms, n
+
+
+def curve_grid(controls, outcomes, ps, n=None):
+    """(F, 0/0 mask) of shape (G, len(ps)): post-selected fidelity of each row at each p.
+
+    controls and outcomes broadcast to G rows as in merit_grid; a row does not
+    depend on the others. A 0/0 point gets the L'Hopital limit, and an outcome
+    that never fires raises DegenerateOutcomeError.
     """
-    ps = np.atleast_1d(np.asarray(ps, dtype=float))
-    out, zero = _ratio(num, den, ps)
-    for i in np.nonzero(zero)[0]:
-        out[i] = _lhopital(num, den, ps[i])
-    return out
+    amps, outcomes, n = _rows(controls, outcomes, n)
+    num, den = _ratio_polynomials(post_selected_weight_stack(amps * outcomes.conj(), n))
+    return _ratio(num, den, ps)
 
 
 def fidelity_profile(control, outcome, ps, n=None):
     """Post-selected fidelity at each p, continuous through isolated degeneracies."""
-    num, den = fidelity_polynomials(control, outcome, n)
-    return evaluate_fidelity(num, den, ps)
+    return curve_grid(control, outcome, ps, n)[0][0]
 
 
 # --------------------------------------------------------------------------
@@ -327,17 +355,7 @@ def merit_grid(controls, outcomes, n=None):
     its orthogonal complement when the control is two-dimensional, since the
     complement then fires with certainty; larger controls raise instead.
     """
-    controls = [controls] if isinstance(controls, ControlState) else controls
-    amps = np.array([c.amplitudes for c in controls])
-    amps, outcomes = np.broadcast_arrays(amps, np.atleast_2d(np.asarray(outcomes, complex)))
-    if n is None:
-        n = _paths_from_dim(amps.shape[-1])
-    if amps.ndim != 2 or amps.shape[1] != math.factorial(n):
-        raise ValueError("outcomes must be a (d,) vector or a (G, d) stack with d = n!")
-    norms = np.linalg.norm(outcomes, axis=1, keepdims=True)
-    if not np.all(np.isfinite(norms) & (norms >= STATE_NORM_TOL)):
-        raise ValueError("outcomes must be finite and nonzero")
-    outcomes = outcomes / norms
+    amps, outcomes, n = _rows(controls, outcomes, n)
     merits = np.empty(len(amps))
     for i in range(0, len(amps), _BLOCK_ROWS):
         block = slice(i, i + _BLOCK_ROWS)
@@ -390,27 +408,14 @@ def optimize_outcome(control, family, lambdas, phis):
     return (lambdas[best // len(phis)], phis[best % len(phis)]), merits[best]
 
 
-@dataclass(frozen=True)
-class ProfilePoint:
-    p: float
-    fidelity: float
-    degenerate: bool
+def alpha_fidelity_profile(alphas, ps):
+    """(F, degenerate) of shape (len(alphas), len(ps)) for the uniform three-path control.
 
-
-def alpha_fidelity_profile(alpha, p_grid):
-    """Fidelity curve of the three-path switch post-selected on an alpha outcome.
-
-    Requires the uniform six-dimensional control. F = num/den is evaluated as
-    in evaluate_fidelity, with the same 0/0 mask; at a masked point (e.g. the
-    alternating outcome at p = 0, where the outcome never fires) the reported
-    value is not the limit but the fidelity of the control-traced marginal,
-    which equals the no-switch triple-channel fidelity, and the point is
-    flagged degenerate.
+    alphas holds AlphaOutcome or (a1, a2, a3) items. At a 0/0 point (e.g. the
+    alternating outcome at p = 0, where the outcome never fires) F is not the
+    limit but the fidelity of the control-traced marginal, which equals the
+    no-switch triple-channel fidelity, and the point is flagged degenerate.
     """
-    control = uniform_control(3)
-    outcome = alpha.vector() if hasattr(alpha, "vector") else AlphaOutcome(*alpha).vector()
-    num, den = fidelity_polynomials(control, outcome, 3)
-    ps = np.atleast_1d(np.asarray(p_grid, dtype=float))
-    fs, zero = _ratio(num, den, ps)
-    fs[zero] = no_switch_fidelity(ps[zero], 3)
-    return [ProfilePoint(*point) for point in zip(ps.tolist(), fs.tolist(), zero.tolist())]
+    outcomes = [(a if hasattr(a, "vector") else AlphaOutcome(*a)).vector() for a in alphas]
+    fs, zero = curve_grid(uniform_control(3), outcomes, ps, 3)
+    return np.where(zero, no_switch_fidelity(ps, 3), fs), zero

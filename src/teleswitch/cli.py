@@ -91,12 +91,15 @@ def _json_value(value):
     return float(f"{value:.12g}") if isinstance(value, float) else value
 
 
+@contextlib.contextmanager
 def _output(path, newline=None):
-    """The file at path opened for writing, or stdout when there is no path."""
+    """The file at path opened for writing, or stdout; an OSError on the file is a UsageError."""
     if not path:
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", newline=newline)
+        with open(path, "w", newline=newline) as handle:
+            yield handle
     except OSError as exc:
         raise UsageError(f"cannot write output file: {exc}") from None
 
@@ -110,9 +113,8 @@ def _write_csv(path, names, values):
             writer.writerows(zip(*cells))
 
 
-def _write_json(path, payload):
-    with _output(path) as handle:
-        handle.write(json.dumps(payload, indent=2) + "\n")
+def _write_json(handle, payload):
+    handle.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_tables(cfg, command, params, tables):
@@ -135,7 +137,8 @@ def _emit_tables(cfg, command, params, tables):
                 for suffix, names, values in tables
             },
         }
-        _write_json(cfg.get("out"), payload)
+        with _output(cfg.get("out")) as handle:
+            _write_json(handle, payload)
         return
     out = cfg.get("out")
     if len(tables) > 1 and not out:
@@ -201,11 +204,9 @@ def cmd_region_map(cfg):
     exists = np.array([r.region2_exists for r in regions])
     ps = _p_grid(cfg)
     qs = np.linspace(0.0, 1.0, 51)
-    # q-major: one fidelity column per q
-    fs = np.concatenate([
-        analysis.fidelity_profile(switch.control_qubit(q), OUTCOME_VECTORS["plus"], ps, 2)
-        for q in qs
-    ])
+    # q-major: one fidelity row per q
+    controls = [switch.control_qubit(q) for q in qs]
+    fs = analysis.curve_grid(controls, OUTCOME_VECTORS["plus"], ps, 2)[0].ravel()
     tables = [
         ("", ["mu", "p_lo", "p_hi", "region2_exists"], [mus, *bounds, exists]),
         ("surface", ["p", "q", "F"], [np.tile(ps, len(qs)), np.repeat(qs, len(ps)), fs]),
@@ -262,30 +263,30 @@ def cmd_three_path(cfg):
         return
     alphas = (analysis.AlphaOutcome(*cfg["alpha"]),) if cfg.get("alpha") else CAPTION_ALPHAS
     ps = _p_grid(cfg)
-    profiles = [analysis.alpha_fidelity_profile(a, ps) for a in alphas]
-    labels = [a.label() for a in alphas]
+    fs, zero = analysis.alpha_fidelity_profile(alphas, ps)
+    labels = np.array([a.label() for a in alphas])
     # per p, the labels of the profiles flagged degenerate there
-    degenerate = np.array([";".join(lb for lb, pt in zip(labels, points) if pt.degenerate)
-                           for points in zip(*profiles)])
-    fidelities = [np.array([pt.fidelity for pt in points]) for points in profiles]
+    degenerate = np.array([";".join(labels[flags]) for flags in zero.T])
     names = ["p", *(f"F{label}" for label in labels), "F3_no_switch", "degenerate"]
-    values = [ps, *fidelities, channels.no_switch_fidelity(ps, 3), degenerate]
+    values = [ps, *fs, channels.no_switch_fidelity(ps, 3), degenerate]
     _emit_tables(cfg, "three-path", {"mode": "alpha-profile"}, [("", names, values)])
 
 
 def cmd_verify(cfg):
-    results = verification.run_all(cfg["seed"])
-    payload = {
-        "command": "verify",
-        "seed": cfg["seed"],
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
-        "passed": sum(r.passed for r in results),
-        "failed": sum(not r.passed for r in results),
-    }
     out = cfg.get("out")
-    _write_json(out, payload)
+    # the output is opened first, so an unwritable path fails before the checks run
+    with _output(out) as handle:
+        results = verification.run_all(cfg["seed"])
+        payload = {
+            "command": "verify",
+            "seed": cfg["seed"],
+            "checks": [
+                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+            ],
+            "passed": sum(r.passed for r in results),
+            "failed": sum(not r.passed for r in results),
+        }
+        _write_json(handle, payload)
     if out:
         for line in verification.report_lines(results):
             print(line)

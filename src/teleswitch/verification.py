@@ -228,12 +228,11 @@ def run_all(seed=42):
     check("n2_reduction_of_switch_n", err < 1e-12, f"max dev {err:.3e}")
 
     alt = analysis.AlphaOutcome(-1, -1, -1)
-    prof = analysis.alpha_fidelity_profile(alt, [0.0, 0.05, 0.1, 0.25, 1 / 3])
-    err = max(
-        abs(pt.fidelity - (1 / 3 + 2 * pt.p)) for pt in prof if not pt.degenerate
-    )
-    lossless = abs(prof[-1].fidelity - 1.0)
-    at_zero = prof[0].degenerate and abs(prof[0].fidelity - 1.0) < 1e-12
+    ps = np.array([0.0, 0.05, 0.1, 0.25, 1 / 3])
+    (fs,), (zero,) = analysis.alpha_fidelity_profile([alt], ps)
+    err = np.max(np.abs(fs - (1 / 3 + 2 * ps))[~zero])
+    lossless = abs(fs[-1] - 1.0)
+    at_zero = zero[0] and abs(fs[0] - 1.0) < 1e-12
     num, den = analysis.fidelity_polynomials(switch.uniform_control(3), alt.vector(), 3)
     prob_err = abs(np.polynomial.polynomial.polyval(1 / 3, den) - 2 / 9)
     k_err = abs(analysis.figure_of_merit(alt.vector(), switch.uniform_control(3)) - 1 / 36)

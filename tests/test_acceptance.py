@@ -206,7 +206,7 @@ def test_criterion_09_three_paths(report):
     alt = analysis.OutcomeFamily3(1.0, 0.0).vector()
     num, den = analysis.fidelity_polynomials(ctrl3, alt, 3)
     f_top = analysis.evaluate_fidelity(num, den, 1 / 3)[0]
-    prof0 = analysis.alpha_fidelity_profile(analysis.AlphaOutcome(-1, -1, -1), [0.0])[0]
+    f_zero = analysis.alpha_fidelity_profile([analysis.AlphaOutcome(-1, -1, -1)], [0.0])[0][0, 0]
     k_floor = MERIT_NO_SWITCH_3
     sampled_min = min(
         analysis.figure_of_merit(analysis.OutcomeFamily3(lam, phi), ctrl3)
@@ -223,13 +223,13 @@ def test_criterion_09_three_paths(report):
     ok = (
         reduction < 1e-12
         and abs(f_top - 1.0) < 1e-9
-        and prof0.fidelity == 1.0
+        and f_zero == 1.0
         and sampled_min >= 0.011252 - 1e-9
         and abs(peak - math.pi / 12) < math.pi / 36
     )
     report(9, ok,
            f"n=2 reduction (switch_n vs closed form) dev {reduction:.3e} < 1e-12; "
-           f"alternating F(1/3) dev {abs(f_top-1):.3e} < 1e-9 and F(0)={prof0.fidelity:g}; "
+           f"alternating F(1/3) dev {abs(f_top-1):.3e} < 1e-9 and F(0)={f_zero:g}; "
            f"sampled family min K {sampled_min:.9f} >= {k_floor:.9f} (paper floor 0.011252); lambda=1 scan "
            f"peak at phi={peak:.4f}, within pi/36 of pi/12")
 

@@ -252,16 +252,35 @@ def test_optimize_outcome_picks_plus_and_breaks_ties_deterministically():
 
 
 def test_alpha_fidelity_profile_flags_degenerate_points():
-    pts = analysis.alpha_fidelity_profile(
-        analysis.AlphaOutcome(-1, -1, -1), [0.0, 0.1, 1 / 3]
+    (fs,), (zero,) = analysis.alpha_fidelity_profile(
+        [analysis.AlphaOutcome(-1, -1, -1)], [0.0, 0.1, 1 / 3]
     )
-    assert pts[0].degenerate and pts[0].fidelity == pytest.approx(1.0)
-    assert not pts[1].degenerate
-    assert pts[1].fidelity == pytest.approx(1 / 3 + 0.2, abs=1e-10)
-    assert pts[2].fidelity == pytest.approx(1.0, abs=1e-10)
-    smooth = analysis.alpha_fidelity_profile(analysis.AlphaOutcome(1, 1, 1), [0.0, 0.1])
-    assert not any(pt.degenerate for pt in smooth)
-    assert smooth[0].fidelity == pytest.approx(1.0, abs=1e-12)
+    assert zero[0] and fs[0] == pytest.approx(1.0)
+    assert not zero[1]
+    assert fs[1] == pytest.approx(1 / 3 + 0.2, abs=1e-10)
+    assert fs[2] == pytest.approx(1.0, abs=1e-10)
+    (smooth,), (smooth_zero,) = analysis.alpha_fidelity_profile(
+        [analysis.AlphaOutcome(1, 1, 1)], [0.0, 0.1]
+    )
+    assert not smooth_zero.any()
+    assert smooth[0] == pytest.approx(1.0, abs=1e-12)
+    # a stack of both: only the alternating row is flagged, only at p = 0
+    alphas = [analysis.AlphaOutcome(-1, -1, -1), (1, 1, 1)]
+    ps = np.linspace(0.0, 1 / 3, 7)
+    stack, stack_zero = analysis.alpha_fidelity_profile(alphas, ps)
+    assert np.array_equal(np.argwhere(stack_zero), [[0, 0]])
+    assert stack[0, 0] == 1.0
+    for i, alpha in enumerate(alphas):
+        one, one_zero = analysis.alpha_fidelity_profile([alpha], ps)
+        assert np.array_equal(one[0], stack[i]) and np.array_equal(one_zero[0], stack_zero[i])
+
+
+def test_curve_grid_fills_zero_over_zero_points_with_the_limit():
+    # outcome minus at q = 1/2: num = 2p^2 and den = 6p^2, so F is 1/3 and p = 0 is 0/0
+    ps = np.array([0.0, 0.1, 1 / 3])
+    fs, zero = analysis.curve_grid(switch.control_qubit(0.5), [1, -1], ps, 2)
+    assert zero.tolist() == [[True, False, False]]
+    assert np.allclose(fs, 1 / 3, rtol=0.0, atol=1e-12)
 
 
 def test_fidelity_profile_matches_brute_force_for_three_paths():

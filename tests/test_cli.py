@@ -185,17 +185,33 @@ def test_scan_axes_print_as_floats(tmp_path, capsys):
     assert rows[1][:2] == ["1e+13", "0"]
 
 
+# a full device: a large table fails in a write, a small one when the file closes
+_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
 @pytest.mark.parametrize("argv, target", [
     (["fidelity-curves"], "missing/x.csv"),
     (["region-map"], "."),
     (["fom-scan", "--lambda", "1", "--format", "json"], "missing/x.json"),
     (["verify"], "missing/x.json"),
+    pytest.param(["fidelity-curves"], "/dev/full", marks=_full),
+    pytest.param(["fom-scan", "--lambda", "1", "--phi", "1"], "/dev/full", marks=_full),
+    pytest.param(["fom-scan", "--lambda", "1", "--format", "json"], "/dev/full", marks=_full),
+    pytest.param(["verify"], "/dev/full", marks=_full),
 ])
 def test_unwritable_out_exits_one(argv, target, tmp_path, capsys):
     assert run_cli([*argv, "--out", str(tmp_path / target)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert err.startswith("teleswitch: error: cannot write output file")
+
+
+def test_verify_checks_the_out_path_before_running(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(cli.verification, "run_all", lambda seed: calls.append(seed) or [])
+    assert run_cli(["verify", "--out", str(tmp_path / "missing" / "x.json")]) == 1
+    assert calls == []
+    assert capsys.readouterr().err.startswith("teleswitch: error: cannot write output file")
 
 
 def test_region_map_json_single_payload(tmp_path):
@@ -362,6 +378,13 @@ def test_readme_examples_run(tmp_path, capsys):
             argv[i] = str(tmp_path / argv[i])
         assert run_cli(argv) == 0, line
     capsys.readouterr()
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert "0.625" in capsys.readouterr().out.splitlines()
 
 
 def test_verify_reports_and_exits_zero(tmp_path, capsys):

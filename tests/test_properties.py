@@ -1,5 +1,5 @@
-"""Property tests over random controls and outcomes: the batched merit engine,
-and the polynomial route against the brute Kraus route."""
+"""Property tests over random controls and outcomes: the batched merit and curve
+engines, and the polynomial route against the brute Kraus route."""
 import math
 
 import numpy as np
@@ -34,6 +34,25 @@ def test_merit_is_batch_invariant_and_phase_blind(n, rows, seed, phase):
     rotated = analysis.merit_grid(controls, np.exp(1j * phase) * outcomes)
     assert np.allclose(rotated, ks, rtol=0.0, atol=1e-14)
     assert np.all(ks >= 0.0) and np.all(ks <= 1 / 9)
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(
+    n=st.sampled_from([2, 3, 4]),
+    rows=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_curve_rows_match_their_one_row_calls(n, rows, seed):
+    controls, outcomes = _random_rows(n, rows, seed)
+    ps = np.linspace(0.0, 1 / 3, 31)
+    fs, zero = analysis.curve_grid(controls, outcomes, ps)
+    assert fs.shape == zero.shape == (rows, len(ps))
+    for i in range(rows):
+        one, one_zero = analysis.curve_grid(controls[i], outcomes[i], ps)
+        assert np.array_equal(one[0], fs[i]) and np.array_equal(one_zero[0], zero[i])
+        # the stack normalizes each outcome as the one-outcome polynomials do
+        num, den = analysis.fidelity_polynomials(controls[i], outcomes[i], n)
+        assert np.array_equal(analysis.evaluate_fidelity(num, den, ps), fs[i])
 
 
 @hypothesis.settings(max_examples=25, deadline=None)
