@@ -31,8 +31,6 @@ from .channels import (
     PauliWeights,
     apply_channel,
     bell_basis,
-    bell_diagonal_state,
-    general_fidelity,
     isotropic_channel,
     isotropic_weights,
     no_switch_fidelity,
@@ -62,59 +60,3 @@ from .switch import (
 from .verification import CheckResult, run_all
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdvantageRegions",
-    "AlphaOutcome",
-    "CheckResult",
-    "ControlState",
-    "DegenerateOutcomeError",
-    "DepolarizingChannel",
-    "InvariantError",
-    "JointState",
-    "OutcomeFamily2",
-    "OutcomeFamily3",
-    "PauliWeights",
-    "PostSelectionResult",
-    "SwitchParams",
-    "advantage_regions",
-    "alpha_fidelity_profile",
-    "apply_channel",
-    "bell_basis",
-    "bell_diagonal_state",
-    "closed_form_two",
-    "control_qubit",
-    "curve_grid",
-    "enumerate_permutations",
-    "evaluate_fidelity",
-    "fidelity_polynomials",
-    "fidelity_profile",
-    "figure_of_merit",
-    "general_fidelity",
-    "haar_random_state",
-    "isotropic_channel",
-    "isotropic_weights",
-    "k_total",
-    "l1_coherence",
-    "merit_grid",
-    "mu_threshold",
-    "no_switch_fidelity",
-    "no_switch_merit",
-    "no_switch_threshold",
-    "normalize_state",
-    "optimize_outcome",
-    "partial_trace",
-    "post_select",
-    "projector",
-    "post_selected_polynomials",
-    "project_outcome",
-    "qubit_fidelity",
-    "run_all",
-    "switch_n",
-    "switch_two",
-    "switched_fidelity",
-    "tensor_product",
-    "uniform_control",
-    "weights_from_resource",
-    "werner_state",
-]

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .channels import no_switch_fidelity, no_switch_threshold
+from .channels import P_MAX, no_switch_fidelity, no_switch_threshold
 from .linalg import STATE_NORM_TOL, normalize_state
 from .switch import (
     ControlState,
@@ -57,7 +57,7 @@ class SwitchParams:
     q: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1 / 3 + 1e-12:
+        if not 0.0 <= self.p <= P_MAX:
             raise ValueError(f"p={self.p} outside [0, 1/3]")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q={self.q} outside [0, 1]")
@@ -190,13 +190,6 @@ class AlphaOutcome:
 # --------------------------------------------------------------------------
 
 
-def _paths_from_dim(dim):
-    for n in (2, 3, 4):
-        if math.factorial(n) == dim:
-            return n
-    raise ValueError(f"control dimension {dim} is not a supported factorial")
-
-
 def _ratio_polynomials(w):
     """(num, den) from weights w[..., k, :], checking the nonidentity weights agree."""
     if not np.allclose(w[..., 2:, :], w[..., 1:2, :], atol=1e-12):
@@ -212,7 +205,7 @@ def fidelity_polynomials(control, outcome, n=None):
     ratio input-independent.
     """
     if n is None:
-        n = _paths_from_dim(control.dim)
+        n = control.paths
     return _ratio_polynomials(post_selected_polynomials(control, outcome, n))
 
 
@@ -251,10 +244,12 @@ def evaluate_fidelity(num, den, ps):
 def _rows(controls, outcomes, n):
     """(control amplitudes, normalized outcomes, n) of a stack of rows, broadcast and checked."""
     controls = [controls] if isinstance(controls, ControlState) else controls
+    if not len(controls):
+        raise ValueError("the control stack is empty")
+    # a stack of mixed dimensions fails here, as an inhomogeneous array
     amps = np.array([c.amplitudes for c in controls])
     amps, outcomes = np.broadcast_arrays(amps, np.atleast_2d(np.asarray(outcomes, complex)))
-    if n is None:
-        n = _paths_from_dim(amps.shape[-1])
+    n = controls[0].paths if n is None else n
     if amps.ndim != 2 or amps.shape[1] != math.factorial(n):
         raise ValueError("outcomes must be a (d,) vector or a (G, d) stack with d = n!")
     # normalize_state's norm, row by row, so curves match fidelity_polynomials bit for bit

@@ -9,15 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    assert_density_matrix,
-    clamp_psd_eigenvalues,
-    det2,
-    hermitian_eigensystem,
-    normalize_state,
-    projector,
-    tensor_product,
-)
+from .linalg import assert_density_matrix, normalize_state, projector, tensor_product
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -26,6 +18,10 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 WEIGHT_SUM_TOL = 1e-9
+
+# largest noise weight p accepted as inside [0, 1/3]; the slack admits a 1/3
+# that carries rounding error
+P_MAX = 1 / 3 + 1e-12
 
 # |det| below this is float noise around an exact zero (pure states); the
 # sqrt term is non-differentiable there, so tiny values carry no information
@@ -66,7 +62,7 @@ class DepolarizingChannel:
 
 def isotropic_weights(p):
     """Weights (1-3p, p, p, p) for p in [0, 1/3]."""
-    if not 0.0 <= p <= 1 / 3 + 1e-12:
+    if not 0.0 <= p <= P_MAX:
         raise ValueError(f"p={p} outside [0, 1/3]")
     p = min(p, 1 / 3)
     return PauliWeights(1 - 3 * p, p, p, p)
@@ -100,11 +96,6 @@ def weights_from_resource(chi):
     return PauliWeights(*overlaps)
 
 
-def bell_diagonal_state(weights):
-    """The Bell-diagonal two-qubit state with the given weights."""
-    return sum(p * projector(b) for p, b in zip(weights.as_array(), bell_basis()))
-
-
 def werner_state(x):
     """x |psi-><psi-| + (1-x) I/4."""
     singlet = bell_basis()[0]
@@ -125,7 +116,7 @@ def apply_channel(channel, rho):
 
 
 def _clamped_det(rho):
-    d = det2(rho).real
+    d = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
     if abs(d) < DET_CLAMP:
         return 0.0
     if d < 0:
@@ -145,22 +136,6 @@ def qubit_fidelity(rho, sigma):
     return float(min(max(f, 0.0), 1.0 + 1e-10))
 
 
-def general_fidelity(rho, sigma):
-    """Squared Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    assert_density_matrix(rho)
-    assert_density_matrix(sigma)
-    w, v = hermitian_eigensystem(rho)
-    w = clamp_psd_eigenvalues(w)
-    sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
-    inner = sqrt_rho @ sigma @ sqrt_rho
-    ev = clamp_psd_eigenvalues(np.linalg.eigvalsh(inner))
-    return float(np.sum(np.sqrt(ev)) ** 2)
-
-
 def no_switch_fidelity(p, n):
     """Teleportation fidelity of n sequential isotropic channels, 1/2 + (1-4p)^n / 2.
 
@@ -169,7 +144,7 @@ def no_switch_fidelity(p, n):
     if n < 1:
         raise ValueError("n must be >= 1")
     p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-15) or np.any(p > 1 / 3 + 1e-12):
+    if np.any(p < -1e-15) or np.any(p > P_MAX):
         raise ValueError(f"p outside [0, 1/3]")
     out = 0.5 + 0.5 * (1 - 4 * p) ** n
     return float(out) if out.ndim == 0 else out

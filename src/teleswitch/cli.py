@@ -13,6 +13,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -93,9 +94,18 @@ def _json_value(value):
 
 @contextlib.contextmanager
 def _output(path, newline=None):
-    """The file at path opened for writing, or stdout; an OSError on the file is a UsageError."""
+    """The file at path opened for writing, or stdout; an OSError on either is a UsageError."""
     if not path:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as exc:
+            # the unwritten buffer goes to os.devnull, so the interpreter's
+            # flush at exit cannot fail a second time
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise UsageError(f"cannot write to stdout: {exc}") from None
         return
     try:
         with open(path, "w", newline=newline) as handle:
@@ -154,7 +164,7 @@ def _emit_tables(cfg, command, params, tables):
 
 def _p_grid(cfg):
     p_min, p_max, p_step = cfg["p_min"], cfg["p_max"], cfg["p_step"]
-    if not 0.0 <= p_min <= p_max <= 1 / 3 + 1e-12:
+    if not 0.0 <= p_min <= p_max <= channels.P_MAX:
         raise UsageError(f"p range [{p_min}, {p_max}] must sit inside [0, 1/3]")
     if p_step <= 0:
         raise UsageError("p-step must be positive")
@@ -288,8 +298,8 @@ def cmd_verify(cfg):
         }
         _write_json(handle, payload)
     if out:
-        for line in verification.report_lines(results):
-            print(line)
+        with _output(None) as handle:
+            handle.writelines(f"{line}\n" for line in verification.report_lines(results))
     return 0 if all(r.passed for r in results) else 2
 
 
@@ -368,6 +378,8 @@ def resolve_config(args):
     for key in INT_KEYS:
         if isinstance(cfg[key], bool) or not isinstance(cfg[key], int):
             raise UsageError(f"{key} must be an integer, got {cfg[key]!r}")
+    if cfg["seed"] < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {cfg['seed']}")
     for key, allowed in CHOICES.items():
         if cfg[key] not in allowed:
             raise UsageError(f"{key} must be one of {', '.join(allowed)}, got {cfg[key]!r}")

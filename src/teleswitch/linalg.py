@@ -7,8 +7,8 @@ and eager.
 """
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
-PSD_CLAMP = 1e-10
+# tolerance of assert_density_matrix on Hermiticity, trace and negative eigenvalues
+DENSITY_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
 
 
@@ -32,40 +32,6 @@ def tensor_product(a, b, *rest):
     return out
 
 
-def det2(a):
-    """Determinant of a 2x2 matrix, a00*a11 - a01*a10."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (2, 2):
-        raise ValueError(f"det2 needs a 2x2 matrix, got {a.shape}")
-    return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-
-
-def is_hermitian(a, tol=HERMITICITY_TOL):
-    a = np.asarray(a)
-    return np.max(np.abs(a - a.conj().T)) < tol
-
-
-def hermitian_eigensystem(a):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
-
-    Returns (w, v) with columns v[:, k] satisfying a @ v[:, k] = w[k] * v[:, k].
-    """
-    a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(a)
-    return w, v
-
-
-def clamp_psd_eigenvalues(w):
-    """Zero out tiny negative eigenvalues from rounding; reject real negatives."""
-    w = np.asarray(w, dtype=float).copy()
-    if np.any(w < -PSD_CLAMP):
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
-    w[w < 0] = 0.0
-    return w
-
-
 def partial_trace(joint, dim_a, dim_b, keep):
     """Trace out one tensor factor of a (dim_a*dim_b)-dimensional operator.
 
@@ -83,17 +49,19 @@ def partial_trace(joint, dim_a, dim_b, keep):
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def assert_density_matrix(rho, tol=HERMITICITY_TOL):
-    """Validate Hermiticity, unit trace and positivity (with clamping)."""
+def assert_density_matrix(rho):
+    """Validate Hermiticity, unit trace and positivity up to rounding."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
-    if not is_hermitian(rho, tol):
+    if not np.max(np.abs(rho - rho.conj().T)) < DENSITY_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > DENSITY_TOL:
         raise ValueError(f"density matrix trace {tr} is not 1")
-    clamp_psd_eigenvalues(np.linalg.eigvalsh(rho))
+    w = np.linalg.eigvalsh(rho)
+    if np.any(w < -DENSITY_TOL):
+        raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
     return rho
 
 

@@ -28,12 +28,15 @@ from itertools import product
 
 import numpy as np
 
-from .channels import PAULI
+from .channels import P_MAX, PAULI
 from .linalg import assert_density_matrix, normalize_state, partial_trace
 
 DEGENERATE_PROB = 1e-12
 
 SUPPORTED_PATHS = (2, 3, 4)
+
+# control dimension n! -> path count n
+_PATHS_BY_DIM = {math.factorial(n): n for n in SUPPORTED_PATHS}
 
 
 class DegenerateOutcomeError(ValueError):
@@ -44,26 +47,11 @@ class InvariantError(ArithmeticError):
     """An internal identity of the polynomial route does not hold."""
 
 
-@dataclass(frozen=True)
-class Permutation:
-    mapping: tuple
-    parity: int  # +1 even, -1 odd
-
-
 def enumerate_permutations(n):
-    """All permutations of 0..n-1 in lexicographic one-line order."""
+    """All permutations of 0..n-1 as tuples, in lexicographic one-line order."""
     if n not in SUPPORTED_PATHS:
         raise ValueError(f"n must be one of {SUPPORTED_PATHS}, got {n}")
-    out = []
-    for mapping in _lex_permutations(range(n)):
-        inversions = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if mapping[i] > mapping[j]
-        )
-        out.append(Permutation(mapping, +1 if inversions % 2 == 0 else -1))
-    return tuple(out)
+    return tuple(_lex_permutations(range(n)))
 
 
 class ControlState:
@@ -71,7 +59,7 @@ class ControlState:
 
     def __init__(self, amplitudes):
         v = normalize_state(amplitudes)
-        if len(v) not in (2, 6, 24):
+        if len(v) not in _PATHS_BY_DIM:
             raise ValueError(f"control dimension {len(v)} is not 2, 6 or 24")
         self.amplitudes = v
         self.amplitudes.setflags(write=False)
@@ -79,6 +67,11 @@ class ControlState:
     @property
     def dim(self):
         return len(self.amplitudes)
+
+    @property
+    def paths(self):
+        """Number n of channel copies, with dim = n!."""
+        return _PATHS_BY_DIM[self.dim]
 
     @property
     def q(self):
@@ -132,7 +125,7 @@ def _switch(channels, rho, control):
     """Joint state of the channels in superposition of causal order.
 
     Control branch k applies the copies in the order of permutation k,
-    mapping[0] first. The ordered Kraus products of every index tuple t form
+    perm[0] first. The ordered Kraus products of every index tuple t form
     one (n!, T, 2, 2) stack O, and the joint is one contraction over tuples:
     J[(i,a),(l,b)] = c_a conj(c_b) sum_t (O[a,t] rho O[b,t]^dag)[i,l].
     """
@@ -153,7 +146,7 @@ def _switch(channels, rho, control):
     ops = []
     for perm in perms:
         op = np.eye(2, dtype=complex)
-        for copy in perm.mapping:
+        for copy in perm:
             op = kraus[copy] @ op
         ops.append(op.reshape(-1, 2, 2))
     ops = np.stack(ops)
@@ -208,7 +201,7 @@ def closed_form_two(p, q, sign, rho):
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    if not 0.0 <= p <= 1 / 3 + 1e-12:
+    if not 0.0 <= p <= P_MAX:
         raise ValueError(f"p={p} outside [0, 1/3]")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q={q} outside [0, 1]")
@@ -275,7 +268,7 @@ def branch_pair_weight_counts(n):
         ts = np.empty(d, dtype=np.int64)
         for a, perm in enumerate(perms):
             k, t = 0, 0
-            for copy in perm.mapping:  # mapping[0] acts first => left-multiply
+            for copy in perm:  # perm[0] acts first => left-multiply
                 k, dt = _pauli_product(idx[copy], k)
                 t = (t + dt) % 4
             ks[a], ts[a] = k, t

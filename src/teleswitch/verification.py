@@ -74,17 +74,6 @@ def run_all(seed=42):
     err = np.max(np.abs(lhs - rhs))
     check("kron_mixed_product", err < 1e-12, f"max dev {err:.3e}")
 
-    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = h + h.conj().T
-    vals, vecs = linalg.hermitian_eigensystem(h)
-    err = np.max(np.abs(vecs @ np.diag(vals) @ vecs.conj().T - h))
-    ordered = np.all(np.diff(vals) >= -1e-12)
-    check(
-        "eigensystem_reconstruction",
-        err < 1e-10 and ordered,
-        f"max dev {err:.3e}, ascending {ordered}",
-    )
-
     rho_a = _haar_qubit_density(rng)
     rho_b = _haar_qubit_density(rng)
     kept = linalg.partial_trace(linalg.tensor_product(rho_a, rho_b), 2, 2, "A")

@@ -192,6 +192,13 @@ def test_merit_grid_rows_match_single_outcomes():
         analysis.merit_grid(controls[0], [np.nan, 1.0])
     with pytest.raises(ValueError):
         analysis.merit_grid(controls[0], [0.0, 0.0])
+    # an empty or mixed-dimension control stack has no path count
+    mixed = [controls[0], switch.uniform_control(3)]
+    for stack, outcome in (([], [[1.0]]), ([], [1.0, 1.0]), (mixed, [1.0, 1.0])):
+        with pytest.raises(ValueError):
+            analysis.merit_grid(stack, outcome)
+        with pytest.raises(ValueError):
+            analysis.curve_grid(stack, outcome, [0.1])
 
 
 def test_outcome_family_grid_is_lambda_major():

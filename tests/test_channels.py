@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from teleswitch import channels, linalg, switch
+from teleswitch import analysis, channels, cli, linalg, switch
 
 
 def test_pauli_weights_validate():
@@ -27,6 +27,18 @@ def test_isotropic_weights_domain():
         channels.isotropic_weights(0.34)
     with pytest.raises(ValueError):
         channels.isotropic_weights(-0.01)
+    # every p-domain check shares one slack: 1/3 plus rounding and nothing further
+    checks = (
+        channels.isotropic_weights,
+        lambda p: channels.no_switch_fidelity(p, 2),
+        lambda p: analysis.SwitchParams(p, 0.5),
+        lambda p: switch.closed_form_two(p, 0.5, "+", np.eye(2) / 2),
+        lambda p: cli._p_grid({"p_min": 0.0, "p_max": p, "p_step": 0.1}),
+    )
+    for check in checks:
+        check(1 / 3 + 5e-13)
+        with pytest.raises(ValueError):
+            check(1 / 3 + 1e-11)
 
 
 def test_bell_basis_orthonormal_and_singlet_first():
@@ -39,7 +51,7 @@ def test_bell_basis_orthonormal_and_singlet_first():
 
 def test_weights_from_resource_roundtrip():
     w = channels.PauliWeights(0.55, 0.25, 0.15, 0.05)
-    chi = channels.bell_diagonal_state(w)
+    chi = sum(p * linalg.projector(b) for p, b in zip(w.as_array(), channels.bell_basis()))
     got = channels.weights_from_resource(chi).as_array()
     assert np.max(np.abs(got - w.as_array())) < 1e-12
 
@@ -87,6 +99,14 @@ def test_qubit_fidelity_pure_states_overlap():
     assert channels.qubit_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
 
+def _uhlmann_fidelity(rho, sigma):
+    """Squared Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, from eigensystems."""
+    w, v = np.linalg.eigh(rho)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    ev = np.linalg.eigvalsh(sqrt_rho @ sigma @ sqrt_rho)
+    return float(np.sum(np.sqrt(np.clip(ev, 0.0, None))) ** 2)
+
+
 def test_qubit_fidelity_agrees_with_general_fidelity():
     rng = np.random.default_rng(10)
     for _ in range(5):
@@ -97,7 +117,7 @@ def test_qubit_fidelity_agrees_with_general_fidelity():
         sig = n @ n.conj().T
         sig /= np.trace(sig).real
         assert channels.qubit_fidelity(rho, sig) == pytest.approx(
-            channels.general_fidelity(rho, sig), abs=1e-10
+            _uhlmann_fidelity(rho, sig), abs=1e-10
         )
 
 
@@ -107,7 +127,7 @@ def test_qubit_fidelity_clamps_pure_state_determinant_noise():
     theta = 0.7321
     v = np.array([np.cos(theta), np.sin(theta) * np.exp(0.3j)])
     rho = np.outer(v, v.conj())
-    d = linalg.det2(rho)
+    d = rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]
     assert abs(d) < channels.DET_CLAMP
     assert channels.qubit_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-14)
 

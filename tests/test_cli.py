@@ -214,6 +214,28 @@ def test_verify_checks_the_out_path_before_running(monkeypatch, tmp_path, capsys
     assert capsys.readouterr().err.startswith("teleswitch: error: cannot write output file")
 
 
+@_full
+@pytest.mark.parametrize("argv", [["fidelity-curves"], ["verify"], ["verify", "--out", "r.json"]])
+def test_full_stdout_exits_one(argv, tmp_path):
+    # the interpreter's own flush of stdout at exit must not fail a second time
+    with open("/dev/full", "w") as full:
+        proc = _run_child(argv, stdout=full, stderr=subprocess.PIPE, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("teleswitch: error: cannot write to stdout")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_negative_seed_exits_one_before_any_output(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"seed": -1}')
+    for argv in (["--seed", "-1"], ["--config", str(cfg)]):
+        assert run_cli(["verify", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "teleswitch: error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+
 def test_region_map_json_single_payload(tmp_path):
     out = tmp_path / "rm.json"
     assert run_cli(["region-map", "--p-step", "0.1", "--format", "json",
@@ -415,15 +437,15 @@ def test_verify_failure_exits_two(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_console_script_is_installed():
-    # the child imports the package from where this process found it
+def _run_child(argv, **kwargs):
+    """The CLI in a child interpreter that imports the package from where this process found it."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "teleswitch.cli", "fidelity-curves", "--p-step", "0.2"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, "-m", "teleswitch.cli", *argv], text=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
+def test_console_script_is_installed():
+    proc = _run_child(["fidelity-curves", "--p-step", "0.2"], capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("p,F1,F2")

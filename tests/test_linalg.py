@@ -33,35 +33,6 @@ def test_mixed_product_identity():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_det2_value_and_shape_guard():
-    m = np.array([[1, 2], [3, 4]], dtype=complex)
-    assert linalg.det2(m) == pytest.approx(-2 + 0j)
-    with pytest.raises(ValueError):
-        linalg.det2(np.eye(3))
-
-
-def test_hermitian_eigensystem_reconstructs_in_ascending_order():
-    rng = np.random.default_rng(5)
-    h = _random_complex(rng, (4, 4))
-    h = h + h.conj().T
-    w, v = linalg.hermitian_eigensystem(h)
-    assert np.all(np.diff(w) >= -1e-12)
-    assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - h)) < 1e-10
-    assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-10
-
-
-def test_hermitian_eigensystem_rejects_nonhermitian():
-    with pytest.raises(ValueError):
-        linalg.hermitian_eigensystem(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_clamp_psd_eigenvalues():
-    w = linalg.clamp_psd_eigenvalues(np.array([1.0, -1e-12]))
-    assert w[1] == 0.0
-    with pytest.raises(ValueError):
-        linalg.clamp_psd_eigenvalues(np.array([1.0, -1e-3]))
-
-
 def test_partial_trace_recovers_each_factor():
     rng = np.random.default_rng(6)
     va = linalg.normalize_state(_random_complex(rng, 2))
@@ -96,6 +67,10 @@ def test_assert_density_matrix_accepts_and_rejects():
         linalg.assert_density_matrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))
     with pytest.raises(ValueError):
         linalg.assert_density_matrix(np.diag([1.5, -0.5]))
+    # a negative eigenvalue at rounding size passes; a real one does not
+    assert linalg.assert_density_matrix(np.diag([1.0 + 1e-12, -1e-12])) is not None
+    with pytest.raises(ValueError, match="not PSD"):
+        linalg.assert_density_matrix(np.diag([1.0 + 1e-3, -1e-3]))
 
 
 def test_projector_is_rank_one_idempotent():

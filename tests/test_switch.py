@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from teleswitch import channels, switch
+from teleswitch import analysis, channels, switch
 
 
 def _pure(rng):
@@ -13,10 +13,13 @@ def _pure(rng):
 
 def test_permutations_lexicographic_with_parity():
     perms = switch.enumerate_permutations(3)
-    assert [p.mapping for p in perms] == [
+    assert perms == (
         (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-    ]
-    assert [p.parity for p in perms] == [1, -1, -1, 1, 1, -1]
+    )
+    # the three-path outcome family weights exactly the odd permutations
+    odd = [sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2 for p in perms]
+    assert odd == [0, 1, 1, 0, 0, 1]
+    assert [int(c != 0) for c in analysis.OutcomeFamily3._coeffs] == odd
     with pytest.raises(ValueError):
         switch.enumerate_permutations(5)
 
