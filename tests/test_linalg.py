@@ -67,6 +67,9 @@ def test_assert_density_matrix_accepts_and_rejects():
         linalg.assert_density_matrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))
     with pytest.raises(ValueError):
         linalg.assert_density_matrix(np.diag([1.5, -0.5]))
+
+
+def test_clamp_psd_eigenvalues():
     # a negative eigenvalue at rounding size passes; a real one does not
     assert linalg.assert_density_matrix(np.diag([1.0 + 1e-12, -1e-12])) is not None
     with pytest.raises(ValueError, match="not PSD"):
