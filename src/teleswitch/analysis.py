@@ -48,6 +48,10 @@ _gauss_legendre = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 # outcomes per block of merit_grid; bounds the memory of the node arrays
 _BLOCK_ROWS = 256
 
+# p values per block of a fidelity curve; bounds the memory of P.polyval's
+# Horner steps, which hold several arrays of the block's shape at a time
+_BLOCK_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class SwitchParams:
@@ -225,12 +229,17 @@ def _ratio(num, den, ps):
 
     The mask is relative to each row's den (see _ZERO_DEN), so an outcome that
     fires rarely still gets its ratio; masked points take the L'Hopital limit.
+    The p axis is evaluated _BLOCK_POINTS values at a time.
     """
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
-    nv = P.polyval(ps, num.T)
-    dv = P.polyval(ps, den.T)
-    zero = np.abs(dv) <= _ZERO_DEN * np.max(np.abs(den), axis=1, keepdims=True)
-    out = np.divide(nv, dv, out=nv, where=~zero)
+    out = np.empty((len(num), len(ps)))
+    zero = np.empty(out.shape, dtype=bool)
+    tol = _ZERO_DEN * np.max(np.abs(den), axis=1, keepdims=True)
+    for start in range(0, len(ps), _BLOCK_POINTS):
+        block = slice(start, start + _BLOCK_POINTS)
+        dv = P.polyval(ps[block], den.T)
+        zero[:, block] = np.abs(dv) <= tol
+        np.divide(P.polyval(ps[block], num.T), dv, out=out[:, block], where=~zero[:, block])
     for g, i in zip(*np.nonzero(zero)):
         out[g, i] = _lhopital(num[g], den[g], ps[i])
     return out, zero

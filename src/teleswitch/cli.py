@@ -11,6 +11,8 @@ failure (an outcome that never fires).
 import argparse
 import contextlib
 import csv
+import functools
+import io
 import json
 import math
 import os
@@ -78,6 +80,14 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    # argparse drops an OSError from writing help, so a lost help text would
+    # exit 0; help to stdout goes through _output and exits 1 instead
+    def print_help(self, file=None):
+        if file is not None:
+            return super().print_help(file)
+        with _output(None) as handle:
+            handle.write(self.format_help())
+
 
 def _cells(column):
     """One column as text: floats at 12 significant digits, booleans as true/false."""
@@ -101,10 +111,13 @@ def _output(path, newline=None):
             sys.stdout.flush()
         except OSError as exc:
             # the unwritten buffer goes to os.devnull, so the interpreter's
-            # flush at exit cannot fail a second time
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            # flush at exit cannot fail a second time; a stream without a
+            # file descriptor has no such flush
+            with contextlib.suppress(io.UnsupportedOperation):
+                stdout = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stdout)
+                os.close(devnull)
             raise UsageError(f"cannot write to stdout: {exc}") from None
         return
     try:
@@ -324,30 +337,33 @@ def _alpha_tuple(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def build_parser():
+    """The teleswitch parser, built on first use and shared by every later main call."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--q", type=float, default=None, help="control weight q in [0, 1]")
+    common.add_argument("--p-min", dest="p_min", type=float, default=None)
+    common.add_argument("--p-max", dest="p_max", type=float, default=None)
+    common.add_argument("--p-step", dest="p_step", type=float, default=None)
+    common.add_argument("--lambda", dest="lam", type=float, default=None,
+                        help="outcome family weight (>= 0)")
+    common.add_argument("--phi", type=float, default=None, help="outcome family phase")
+    common.add_argument("--alpha", type=_alpha_tuple, default=None,
+                        help="three-path odd-permutation coefficients a1,a2,a3")
+    common.add_argument("--paths", type=int, default=None, help="number of channel copies")
+    common.add_argument("--outcome", choices=CHOICES["outcome"], default=None)
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--out", type=str, default=None, help="output file path")
+    common.add_argument("--format", choices=CHOICES["format"], default=None)
+    common.add_argument("--config", type=str, default=None,
+                        help="JSON file of defaults, overridden by flags")
     parser = _Parser(
         prog="teleswitch",
         description="Teleportation fidelity data for Pauli channels in a quantum switch.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name, help=f"{name} data")
-        p.add_argument("--q", type=float, default=None, help="control weight q in [0, 1]")
-        p.add_argument("--p-min", dest="p_min", type=float, default=None)
-        p.add_argument("--p-max", dest="p_max", type=float, default=None)
-        p.add_argument("--p-step", dest="p_step", type=float, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="outcome family weight (>= 0)")
-        p.add_argument("--phi", type=float, default=None, help="outcome family phase")
-        p.add_argument("--alpha", type=_alpha_tuple, default=None,
-                       help="three-path odd-permutation coefficients a1,a2,a3")
-        p.add_argument("--paths", type=int, default=None, help="number of channel copies")
-        p.add_argument("--outcome", choices=CHOICES["outcome"], default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None, help="output file path")
-        p.add_argument("--format", choices=CHOICES["format"], default=None)
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON file of defaults, overridden by flags")
+        sub.add_parser(name, help=f"{name} data", parents=[common])
     return parser
 
 
@@ -397,9 +413,8 @@ def _finite_number(value):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         code = COMMANDS[args.command](cfg)
         return 0 if code is None else code

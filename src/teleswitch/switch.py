@@ -297,6 +297,19 @@ def pauli_basis_monomials(n):
     return rows
 
 
+@lru_cache(maxsize=None)
+def _folded_counts(n):
+    """The count tensor folded with the monomials: F[(a, b), (k, j)], read-only.
+
+    Row (a, b) holds the ascending coefficients of w_k^{ab}(p) for each k.
+    """
+    counts = branch_pair_weight_counts(n)
+    fold = np.einsum("kabz,zj->abkj", counts, pauli_basis_monomials(n)).reshape(
+        counts.shape[1] ** 2, 4 * (n + 1))
+    fold.setflags(write=False)
+    return fold
+
+
 def post_selected_weight_stack(gamma, n):
     """Weights W[g, k] (ascending, degree n) for a (G, n!) stack gamma = c * conj(m).
 
@@ -305,9 +318,7 @@ def post_selected_weight_stack(gamma, n):
     other rows.
     """
     gamma = np.asarray(gamma, dtype=complex)
-    counts = branch_pair_weight_counts(n)
-    fold = np.einsum("kabz,zj->abkj", counts, pauli_basis_monomials(n)).reshape(
-        counts.shape[1] ** 2, 4 * (n + 1))
+    fold = _folded_counts(n)
     outer = (gamma[:, :, None] * gamma.conj()[:, None, :]).reshape(len(gamma), 1, -1)
     if not np.all(np.abs(outer.imag @ fold) <= 1e-12):
         raise InvariantError("post-selected weights must be real")

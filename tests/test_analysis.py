@@ -290,6 +290,18 @@ def test_curve_grid_fills_zero_over_zero_points_with_the_limit():
     assert np.allclose(fs, 1 / 3, rtol=0.0, atol=1e-12)
 
 
+def test_curve_grid_blocks_the_p_axis_bit_for_bit(monkeypatch):
+    # p runs downward, so the 0/0 point of minus at q = 1/2 (p = 0) sits in the last block
+    ps = np.linspace(1 / 3, 0.0, 2 * analysis._BLOCK_POINTS + 3)
+    controls = [switch.control_qubit(q) for q in (0.5, 0.3)]
+    fs, zero = analysis.curve_grid(controls, [1, -1], ps, 2)
+    assert list(zip(*np.nonzero(zero))) == [(0, len(ps) - 1)]
+    assert fs[0, -1] == pytest.approx(1 / 3, abs=1e-12)
+    monkeypatch.setattr(analysis, "_BLOCK_POINTS", len(ps))
+    whole_fs, whole_zero = analysis.curve_grid(controls, [1, -1], ps, 2)
+    assert np.array_equal(fs, whole_fs) and np.array_equal(zero, whole_zero)
+
+
 def test_fidelity_profile_matches_brute_force_for_three_paths():
     rng = np.random.default_rng(24)
     ctrl = switch.uniform_control(3)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from teleswitch import analysis, cli, verification
+from teleswitch import analysis, cli, switch, verification
 
 
 def run_cli(args):
@@ -215,7 +216,10 @@ def test_verify_checks_the_out_path_before_running(monkeypatch, tmp_path, capsys
 
 
 @_full
-@pytest.mark.parametrize("argv", [["fidelity-curves"], ["verify"], ["verify", "--out", "r.json"]])
+@pytest.mark.parametrize("argv", [
+    ["fidelity-curves"], ["verify"], ["verify", "--out", "r.json"],
+    ["--help"], ["fom-scan", "--help"],
+])
 def test_full_stdout_exits_one(argv, tmp_path):
     # the interpreter's own flush of stdout at exit must not fail a second time
     with open("/dev/full", "w") as full:
@@ -223,6 +227,20 @@ def test_full_stdout_exits_one(argv, tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("teleswitch: error: cannot write to stdout")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+class _UnwritableStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fom-scan", "--help"]])
+def test_help_to_unwritable_stdout_exits_one(argv, monkeypatch, capsys):
+    # argparse itself drops the OSError and exits 0
+    monkeypatch.setattr(sys, "stdout", _UnwritableStdout())
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "teleswitch: error: cannot write to stdout: [Errno 28] No space left on device\n"
 
 
 def test_negative_seed_exits_one_before_any_output(tmp_path, capsys):
@@ -449,3 +467,53 @@ def test_console_script_is_installed():
     proc = _run_child(["fidelity-curves", "--p-step", "0.2"], capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("p,F1,F2")
+
+
+# --------------------------------------------------------------------------
+# one parser serves every main call in a process
+# --------------------------------------------------------------------------
+
+
+def test_scan_flags_do_not_carry_over_to_the_next_call(capsys):
+    assert run_cli(["fom-scan", "--q", "0.2", "--lambda", "1", "--phi", "0"]) == 0
+    first = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert run_cli(["fom-scan", "--lambda", "1"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    assert len(rows) == 180
+    phis = np.arange(0.0, 2 * math.pi, math.pi / 90)
+    assert [row[1] for row in rows] == [f"{phi:.12g}" for phi in phis]
+    k_half = analysis.merit_grid(switch.control_qubit(0.5),
+                                 analysis.OutcomeFamily2.grid([1.0], [0.0]))[0]
+    assert rows[0][2] == f"{k_half:.12g}" != first[1][2]
+
+
+def test_custom_outcome_needs_phi_after_a_call_that_set_it(capsys):
+    assert run_cli(["fidelity-curves", "--outcome", "custom", "--lambda", "1", "--phi", "1",
+                    "--p-step", "0.1"]) == 0
+    capsys.readouterr()
+    assert run_cli(["fidelity-curves", "--outcome", "custom", "--lambda", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "teleswitch: error: outcome 'custom' needs --lambda and --phi\n"
+
+
+def test_json_format_does_not_carry_over_to_the_next_call(capsys):
+    assert run_cli(["fom-scan", "--lambda", "1", "--phi", "0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "fom-scan"
+    assert run_cli(["fom-scan", "--lambda", "1", "--phi", "0"]) == 0
+    assert capsys.readouterr().out.startswith("lambda,phi,K\r\n")
+
+
+COMMON_OPTIONS = ["--q", "--p-min", "--p-max", "--p-step", "--lambda", "--phi", "--alpha",
+                  "--paths", "--outcome", "--seed", "--out", "--format", "--config"]
+
+
+def test_help_screens_repeat_and_share_the_common_options(capsys):
+    for argv in [["--help"], *([name, "--help"] for name in cli.COMMANDS)]:
+        screens = []
+        for _ in range(2):
+            assert run_cli(argv) == 0
+            screens.append(capsys.readouterr().out)
+        assert screens[0] == screens[1], argv
+        if len(argv) == 2:
+            assert screens[0].startswith(f"usage: teleswitch {argv[0]} [-h]")
+            assert re.findall(r"^  (--[\w-]+)", screens[0], re.M) == COMMON_OPTIONS

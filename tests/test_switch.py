@@ -272,6 +272,23 @@ def test_branch_pair_weight_counts_are_integer_and_symmetric():
         assert diag == d * 4 ** n
 
 
+def test_post_selected_weights_use_a_cached_read_only_fold():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 4):
+        d = math.factorial(n)
+        gamma = np.array([switch.haar_random_state(d, rng) * switch.haar_random_state(d, rng).conj()
+                          for _ in range(5)])
+        fresh = np.einsum("kabz,zj->abkj", switch.branch_pair_weight_counts(n),
+                          switch.pauli_basis_monomials(n)).reshape(d * d, 4 * (n + 1))
+        outer = (gamma[:, :, None] * gamma.conj()[:, None, :]).reshape(5, 1, -1)
+        expected = (outer.real @ fresh).reshape(5, 4, n + 1)
+        assert np.array_equal(switch.post_selected_weight_stack(gamma, n), expected)
+        fold = switch._folded_counts(n)
+        assert fold is switch._folded_counts(n)
+        assert not fold.flags.writeable
+        assert np.array_equal(fold, fresh)
+
+
 def test_haar_random_state_is_seeded_and_normalized():
     a = switch.haar_random_state(2, 123)
     b = switch.haar_random_state(2, 123)
