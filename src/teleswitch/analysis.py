@@ -144,7 +144,10 @@ class _OutcomeFamily:
             raise ValueError("lambda must be >= 0")
         weight = (lams * np.exp(1j * np.asarray(phis, dtype=float))).reshape(-1, 1)
         kets = np.where(cls._coeffs == 0, 1.0, cls._coeffs * weight)
-        return kets / np.linalg.norm(kets, axis=1, keepdims=True)
+        # a norm that overflows is inf and leaves a zero row, which _rows refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(kets, axis=1, keepdims=True)
+        return kets / norms
 
     def vector(self):
         return self.grid([self.lam], [self.phi])[0]
@@ -263,7 +266,9 @@ def _rows(controls, outcomes, n):
         raise ValueError("outcomes must be a (d,) vector or a (G, d) stack with d = n!")
     # normalize_state's norm, row by row, so curves match fidelity_polynomials bit for bit
     re, im = outcomes.real, outcomes.imag
-    norms = np.sqrt(re[:, None] @ re[..., None] + im[:, None] @ im[..., None])[:, 0]
+    # a norm that overflows is inf and is refused below, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(re[:, None] @ re[..., None] + im[:, None] @ im[..., None])[:, 0]
     if not np.all(np.isfinite(norms) & (norms >= STATE_NORM_TOL)):
         raise ValueError("outcomes must be finite and nonzero")
     return amps, outcomes / norms, n

@@ -10,9 +10,9 @@ failure (an outcome that never fires).
 """
 import argparse
 import contextlib
-import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -89,13 +89,23 @@ class _Parser(argparse.ArgumentParser):
             handle.write(self.format_help())
 
 
+def _quoted(text):
+    """text as one CSV cell: quoted, with inner quotes doubled, if it holds , " CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cells(column):
-    """One column as text: floats at 12 significant digits, booleans as true/false."""
+    """One column as %-format arguments: floats as floats, booleans as true/false,
+    anything else as its CSV cell text, quoted once per distinct value."""
     if column.dtype.kind == "f":
-        return [f"{v:.12g}" for v in column.tolist()]
+        return column.tolist()
     if column.dtype.kind == "b":
         return ["true" if v else "false" for v in column.tolist()]
-    return column.tolist()
+    values = column.tolist()
+    text = {v: _quoted(str(v)) for v in set(values)}
+    return [text[v] for v in values]
 
 
 def _json_value(value):
@@ -128,12 +138,14 @@ def _output(path, newline=None):
 
 
 def _write_csv(path, names, values):
+    # one row format per table, %.12g for a float column and %s for any other,
+    # so each block of rows is a single % call
+    row = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in values) + "\r\n"
     with _output(path, newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\r\n")
-        writer.writerow(names)
+        handle.write(",".join(map(_quoted, names)) + "\r\n")
         for start in range(0, len(values[0]), CSV_BLOCK_ROWS):
             cells = [_cells(column[start:start + CSV_BLOCK_ROWS]) for column in values]
-            writer.writerows(zip(*cells))
+            handle.write(row * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells))))
 
 
 def _write_json(handle, payload):
@@ -288,8 +300,10 @@ def cmd_three_path(cfg):
     ps = _p_grid(cfg)
     fs, zero = analysis.alpha_fidelity_profile(alphas, ps)
     labels = np.array([a.label() for a in alphas])
-    # per p, the labels of the profiles flagged degenerate there
-    degenerate = np.array([";".join(labels[flags]) for flags in zero.T])
+    # the labels of the profiles flagged degenerate, joined once per distinct
+    # mask pattern; the inverse's shape varies across numpy 2.0.x, so ravel it
+    patterns, inverse = np.unique(zero.T, axis=0, return_inverse=True)
+    degenerate = np.array([";".join(labels[flags]) for flags in patterns])[inverse.ravel()]
     names = ["p", *(f"F{label}" for label in labels), "F3_no_switch", "degenerate"]
     values = [ps, *fs, channels.no_switch_fidelity(ps, 3), degenerate]
     _emit_tables(cfg, "three-path", {"mode": "alpha-profile"}, [("", names, values)])

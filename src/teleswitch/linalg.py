@@ -5,6 +5,8 @@ density matrices are square complex matrices, pure states are 1-d complex
 vectors. Dimensions stay tiny (at most 2 * 4! = 48), so everything is dense
 and eager.
 """
+import math
+
 import numpy as np
 
 # tolerance of assert_density_matrix on Hermiticity, trace and negative eigenvalues
@@ -15,9 +17,13 @@ STATE_NORM_TOL = 1e-12
 def normalize_state(amplitudes):
     """Return a unit-norm complex state vector."""
     v = np.asarray(amplitudes, dtype=complex).ravel()
-    n = np.linalg.norm(v)
+    # a norm that overflows comes out inf and is refused below, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.linalg.norm(v)
     if n < STATE_NORM_TOL:
         raise ValueError("cannot normalize a (near-)zero vector")
+    if not math.isfinite(n):
+        raise ValueError("cannot normalize a vector whose norm is not finite")
     return v / n
 
 

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,73 @@ def test_block_writer_matches_row_writer(argv, tmp_path, monkeypatch):
         assert rows > 2 * cli.CSV_BLOCK_ROWS and rows % cli.CSV_BLOCK_ROWS
     if argv[0] == "three-path":
         assert b'"F(-1,-1,-1)"' in out.read_bytes()
+
+
+# strings whose CSV cell tests the quoting rule: separators, quotes, line breaks,
+# spaces, format characters and non-ASCII text
+TRICKY_CELLS = [
+    "", "a,b", 'say "hi"', '"', "a\nb", "a\rb", "a\r\nb", " lead", "trail ",
+    "50%", "%s", "a;b", "a\tb", "ψ ≥ ½", "(-1,-1,-1)",
+]
+
+
+@pytest.mark.parametrize("text", TRICKY_CELLS)
+def test_quoted_matches_csv_writer_cell(text):
+    buf = io.StringIO(newline="")
+    # a second field, so an empty first one is written as a plain empty cell
+    csv.writer(buf, lineterminator="\r\n").writerow([text, "end"])
+    assert cli._quoted(text) == buf.getvalue().removesuffix(",end\r\n")
+
+
+def _synthetic_table(rows):
+    rng = np.random.default_rng(rows)
+    special = [0.0, -0.0, 5e-324, 1e16, 1 / 3, math.inf, -math.inf, math.nan]
+    floats = np.resize(np.concatenate([special, rng.uniform(-1, 1, rows)]), rows)
+    strings = np.resize(np.array(["plain", *TRICKY_CELLS]), rows)
+    names = ["p", "flag,kind", "count", "label", "50% mark"]
+    values = [floats, np.arange(rows) % 3 == 0, np.arange(rows) - 7, strings, -floats]
+    return names, values
+
+
+@pytest.mark.parametrize("rows", [1, 2 * cli.CSV_BLOCK_ROWS, 2 * cli.CSV_BLOCK_ROWS + 1])
+def test_block_writer_matches_row_writer_on_a_synthetic_table(rows, tmp_path):
+    names, values = _synthetic_table(rows)
+    out = tmp_path / "t.csv"
+    cli._write_csv(out, names, values)
+    assert out.read_bytes() == _row_writer_bytes(names, values)
+
+
+def test_three_path_degenerate_column_joins_flagged_labels_per_p(tmp_path, monkeypatch):
+    # per p: no profile flagged, one, two at once; patterns repeat across p
+    flagged = [(), (3,), (0, 3), (1,), (), (0, 3), (1, 2), (3,)]
+    profile = analysis.alpha_fidelity_profile
+
+    def crafted(alphas, ps):
+        fs, _ = profile(alphas, ps)
+        zero = np.zeros((len(alphas), len(ps)), dtype=bool)
+        for j, rows in enumerate(flagged):
+            zero[list(rows), j] = True
+        return fs, zero
+
+    emitted = []
+
+    def capture(cfg, command, params, tables):
+        emitted.extend(tables)
+        emit(cfg, command, params, tables)
+
+    emit = cli._emit_tables
+    monkeypatch.setattr(cli.analysis, "alpha_fidelity_profile", crafted)
+    monkeypatch.setattr(cli, "_emit_tables", capture)
+    out = tmp_path / "t.csv"
+    assert run_cli(["three-path", "--p-step", "0.05", "--out", str(out)]) == 0
+    [(_, names, values)] = emitted
+    assert len(values[0]) == len(flagged)
+    labels = [a.label() for a in cli.CAPTION_ALPHAS]
+    reference = [";".join(labels[i] for i in rows) for rows in flagged]
+    assert values[-1].tolist() == reference
+    text = out.read_bytes()
+    assert text == _row_writer_bytes(names, [*values[:-1], np.array(reference)])
+    assert b',"(-1,-1,-1)"\r\n' in text and b',"(1,1,1);(-1,-1,-1)"\r\n' in text
 
 
 @pytest.mark.parametrize("command", ["fidelity-curves", "three-path", "region-map"])
@@ -377,9 +445,16 @@ def test_config_file_errors(tmp_path, capsys):
     ["fidelity-curves", "--p-min", "nan"],
     ["fidelity-curves", "--p-max", "inf"],
     ["fidelity-curves", "--p-step", "nan"],
+    # finite flags whose outcome norm overflows
+    ["fom-scan", "--lambda", "1e200", "--phi", "0"],
+    ["fidelity-curves", "--outcome", "custom", "--lambda", "1e200", "--phi", "0"],
+    ["three-path", "--alpha=1e308,1e308,1e308"],
 ])
 def test_non_finite_values_exit_one(argv, capsys):
-    assert run_cli(argv) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(argv) == 1
+    assert caught == []
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "finite" in err and len(err.strip().splitlines()) == 1

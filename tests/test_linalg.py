@@ -15,6 +15,13 @@ def test_normalize_state_unit_norm():
         linalg.normalize_state([0.0, 0.0])
 
 
+@pytest.mark.parametrize("amplitudes", [[1e200, 0.0], [1e200, 1e200j], [np.inf, 0.0], [np.nan, 1.0]])
+def test_normalize_state_refuses_a_non_finite_norm(amplitudes):
+    # the squares of 1e200 overflow, so its norm is inf, not a reason to return zeros
+    with pytest.raises(ValueError, match="not finite"):
+        linalg.normalize_state(amplitudes)
+
+
 def test_tensor_product_matches_kron_and_folds():
     rng = np.random.default_rng(3)
     a, b, c = (_random_complex(rng, (2, 2)) for _ in range(3))

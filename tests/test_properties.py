@@ -94,3 +94,10 @@ def test_outcome_probabilities_over_a_basis_sum_to_one(n, seed, p):
     assert abs(sum(probs) - 1.0) < 1e-12
     dens = sum(analysis.fidelity_polynomials(control, m, n)[1] for m in basis.T)
     assert np.allclose(dens, np.eye(1, n + 1)[0], rtol=0.0, atol=1e-12)
+
+
+@hypothesis.given(v=st.floats(allow_nan=True, allow_infinity=True))
+def test_percent_format_matches_the_f_string_cell(v):
+    # the CSV writer formats a block of floats with %.12g; the row-writer
+    # reference of tests/test_cli.py formats each cell with f"{v:.12g}"
+    assert "%.12g" % v == f"{v:.12g}"

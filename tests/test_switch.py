@@ -33,6 +33,8 @@ def test_control_state_validation_and_parameters():
     with pytest.raises(ValueError):
         switch.ControlState([1, 0, 0])
     with pytest.raises(ValueError):
+        switch.ControlState([1e200, 1e200])
+    with pytest.raises(ValueError):
         switch.control_qubit(1.5)
     u = switch.uniform_control(3)
     assert u.dim == 6
