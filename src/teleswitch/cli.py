@@ -318,7 +318,8 @@ def cmd_verify(cfg):
             "command": "verify",
             "seed": cfg["seed"],
             "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+                {"name": r.name, "passed": r.passed, "detail": r.detail,
+                 "deviations": r.deviations, "tolerances": r.tolerances} for r in results
             ],
             "passed": sum(r.passed for r in results),
             "failed": sum(not r.passed for r in results),
@@ -423,7 +424,9 @@ def resolve_config(args):
 
 
 def _finite_number(value):
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    # JSON true/false are Python bools, which are ints; they are not numbers here
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def main(argv=None):

@@ -1,16 +1,31 @@
-"""Deterministic self-checks spanning the linear algebra, channel, switch, and
-analysis layers.
+"""Deterministic self-checks of every layer, kept as one ordered registry, CHECKS.
 
-Every check is seeded, so repeated runs produce byte-identical reports. The
-expected values are closed forms: analytic integrals and root solves written
-out here, independent of the polynomial merit engine.
+A check is a function (rng, size) -> {quantity: deviation} on the inputs
+`size` names (a check without a size ignores it). It passes when every
+deviation is strictly below its tolerance; a NaN deviation fails. `run_all`
+runs every check at its quick size with one seeded rng, so its reports are
+byte-identical across runs; the acceptance tests run the same functions at the
+full sizes and seeds of the paper's criteria. The expected values are closed
+forms and root solves written out here, independent of the merit engine.
 """
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analysis, channels, linalg, switch
+
+# tolerances; a deviation passes when it is strictly below its tolerance
+EXACT = 1e-12   # identities between O(1) results computed two ways
+BRUTE = 1e-10   # the brute Kraus route, or a bisection, against a closed form
+ROOT = 1e-9     # points located by a quadratic formula or bisection, and curves and
+                # merits of the polynomial route at the bound the criteria set them
+MERIT = 1e-13   # the merit engine against an exact integral
+PAPER = 1e-6    # a merit the paper prints to six decimals
+PHASE_PEAK = math.pi / 36  # how far the three-path phase-scan peak may sit from pi/12
+FLAG = 0.5      # a condition that must hold, as deviation 0 (holds) or 1 (fails)
+ORDER = 0.0     # a strict ordering a < b, as the signed difference a - b
 
 
 def no_switch_merit_exact(n):
@@ -33,16 +48,19 @@ def merit_plus_balanced_exact():
     return antiderivative(p_lo) + antiderivative(1 / 3) - antiderivative(p_hi)
 
 
+def _bisect(above, lo, hi, tol):
+    """The point of [lo, hi] where the predicate `above` turns true, to within tol."""
+    mid = 0.5 * (lo + hi)
+    # a tol below the float spacing at the root stops where lo and hi are adjacent
+    while hi - lo > tol and lo < mid < hi:
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
 def mu_threshold_bisection(tol=1e-10):
     """Locate the region2 existence boundary by bisection on mu."""
-    lo, hi = 0.0, 0.5
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if analysis.advantage_regions(mid).region2_exists:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda mu: analysis.advantage_regions(mu).region2_exists, 0.0, 0.5, tol)
 
 
 @dataclass(frozen=True)
@@ -50,205 +68,284 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    deviations: dict = field(default_factory=dict)
+    tolerances: dict = field(default_factory=dict)
 
 
-def _haar_qubit_density(rng):
+# a registry entry: the check function, its tolerance per quantity and its quick size
+Check = namedtuple("Check", "name run tolerances quick")
+
+# every check in report order, appended by _check as this module is imported
+CHECKS = []
+
+
+def _check(tolerances, quick=None):
+    def register(run):
+        CHECKS.append(Check(run.__name__, run, tolerances, quick))
+        return run
+    return register
+
+
+def _haar_density(rng):
     v = switch.haar_random_state(2, rng)
     return np.outer(v, v.conj())
 
 
-def run_all(seed=42):
-    """Run every check; returns a list of CheckResult in a fixed order."""
-    rng = np.random.default_rng(seed)
-    results = []
+def _max_dev(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
-    def check(name, passed, detail=""):
-        results.append(CheckResult(name, bool(passed), detail))
 
-    # --- linear algebra -----------------------------------------------------
-    a, b, c, d = (
-        rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4)
+def _post_selected_plus(p, q, rho):
+    ch = channels.isotropic_channel(p)
+    return switch.post_select(switch.switch_two(ch, ch, rho, switch.control_qubit(q)), [1, 1])
+
+
+def _two_path_outcome(joint, p, q, rho):
+    """Largest elementwise gap between the projected joint and closed_form_two, both signs."""
+    return max(
+        _max_dev(switch.project_outcome(joint, outcome), switch.closed_form_two(p, q, sign, rho))
+        for sign, outcome in (("+", [1, 1]), ("-", [1, -1]))
     )
+
+
+@_check({"max_dev": EXACT})
+def kron_mixed_product(rng, _size):
+    a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4))
     lhs = linalg.tensor_product(a, b) @ linalg.tensor_product(c, d)
-    rhs = linalg.tensor_product(a @ c, b @ d)
-    err = np.max(np.abs(lhs - rhs))
-    check("kron_mixed_product", err < 1e-12, f"max dev {err:.3e}")
+    return {"max_dev": _max_dev(lhs, linalg.tensor_product(a @ c, b @ d))}
 
-    rho_a = _haar_qubit_density(rng)
-    rho_b = _haar_qubit_density(rng)
+
+@_check({"max_dev": EXACT})
+def partial_trace_factor(rng, _size):
+    rho_a, rho_b = _haar_density(rng), _haar_density(rng)
     kept = linalg.partial_trace(linalg.tensor_product(rho_a, rho_b), 2, 2, "A")
-    err = np.max(np.abs(kept - rho_a))
-    check("partial_trace_factor", err < 1e-12, f"max dev {err:.3e}")
+    return {"max_dev": _max_dev(kept, rho_a)}
 
-    # --- channels ------------------------------------------------------------
+
+@_check({"max_dev": EXACT})
+def kraus_completeness(_rng, _size):
     ch = channels.isotropic_channel(0.21)
-    comp = sum(k.conj().T @ k for k in ch.kraus)
-    err = np.max(np.abs(comp - np.eye(2)))
-    check("kraus_completeness", err < 1e-12, f"max dev {err:.3e}")
+    return {"max_dev": _max_dev(sum(k.conj().T @ k for k in ch.kraus), np.eye(2))}
 
+
+@_check({"max_dev": EXACT})
+def bell_basis_orthonormality(_rng, _size):
     basis = channels.bell_basis()
     gram = np.array([[bi.conj() @ bj for bj in basis] for bi in basis])
-    err = np.max(np.abs(gram - np.eye(4)))
-    check("bell_basis_orthonormality", err < 1e-12, f"max dev {err:.3e}")
+    return {"max_dev": _max_dev(gram, np.eye(4))}
 
-    err = 0.0
-    for x in (1.0, 0.7, 0.4):
-        got = channels.weights_from_resource(channels.werner_state(x)).as_array()
-        want = channels.isotropic_weights((1 - x) / 4).as_array()
-        err = max(err, float(np.max(np.abs(got - want))))
-    check("werner_resource_weights", err < 1e-12, f"max dev {err:.3e}")
 
-    err = 0.0
-    psi = switch.haar_random_state(2, rng)
-    pure = np.outer(psi, psi.conj())
-    for n in (1, 2, 3):
-        for p in (0.0, 0.1, 1 / 3):
-            out = pure
-            for _ in range(n):
-                out = channels.apply_channel(channels.isotropic_channel(p), out)
-            err = max(
-                err,
-                abs(
-                    channels.qubit_fidelity(pure, out)
-                    - channels.no_switch_fidelity(p, n)
-                ),
-            )
-    check("no_switch_formula_matches_composition", err < 1e-12, f"max dev {err:.3e}")
+@_check({"max_dev": EXACT})
+def werner_resource_weights(_rng, _size):
+    return {"max_dev": max(
+        _max_dev(channels.weights_from_resource(channels.werner_state(x)).as_array(),
+                 channels.isotropic_weights((1 - x) / 4).as_array()) for x in (1.0, 0.7, 0.4))}
 
-    err = 0.0
+
+@_check({"max_dev": EXACT}, quick=((0.0, 0.1, 1 / 3), (1, 2, 3)))
+def no_switch_formula_matches_composition(rng, size):
+    """size: (ps, ns); n channels composed on one Haar input against no_switch_fidelity(p, n)."""
+    ps, ns = size
+    pure = _haar_density(rng)
+    dev = 0.0
+    for p in ps:
+        out = pure
+        for n in range(1, max(ns) + 1):
+            out = channels.apply_channel(channels.isotropic_channel(p), out)
+            if n in ns:
+                dev = max(dev, abs(channels.qubit_fidelity(pure, out)
+                                   - channels.no_switch_fidelity(p, n)))
+    return {"max_dev": dev}
+
+
+@_check({"max_dev": BRUTE})
+def thresholds_match_root_solve(_rng, _size):
+    dev = 0.0
     for n in (1, 2, 3):
         t = channels.no_switch_threshold(n)
-        lo, hi = 0.0, 1 / 3
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if channels.no_switch_fidelity(mid, n) > 2 / 3:
-                lo = mid
-            else:
-                hi = mid
-        err = max(err, abs(t - 0.5 * (lo + hi)))
-        err = max(err, abs(channels.no_switch_fidelity(t, n) - 2 / 3))
-    check("thresholds_match_root_solve", err < 1e-10, f"max dev {err:.3e}")
+        root = _bisect(lambda p: channels.no_switch_fidelity(p, n) <= 2 / 3, 0.0, 1 / 3, 1e-15)
+        dev = max(dev, abs(t - root), abs(channels.no_switch_fidelity(t, n) - 2 / 3))
+    return {"max_dev": dev}
 
-    # --- two-path switch -----------------------------------------------------
-    err = 0.0
-    rho = _haar_qubit_density(rng)
-    for p in (0.05, 0.2, 1 / 3):
-        for q in (0.3, 0.5, 0.9):
+
+@_check({"max_dev": BRUTE}, quick=(1, (0.05, 0.2, 1 / 3), (0.3, 0.5, 0.9)))
+def closed_form_matches_brute_force(rng, size):
+    """size: (inputs, ps, qs); closed_form_two against the projected switch_two output."""
+    inputs, ps, qs = size
+    dev = 0.0
+    for _ in range(inputs):
+        rho = _haar_density(rng)
+        for p in ps:
             ch = channels.isotropic_channel(p)
-            joint = switch.switch_two(ch, ch, rho, switch.control_qubit(q))
-            for sign, outcome in (("+", [1, 1]), ("-", [1, -1])):
-                brute = switch.project_outcome(joint, outcome)
-                closed = switch.closed_form_two(p, q, sign, rho)
-                err = max(err, float(np.max(np.abs(brute - closed))))
-    check("closed_form_matches_brute_force", err < 1e-10, f"max dev {err:.3e}")
+            for q in qs:
+                joint = switch.switch_two(ch, ch, rho, switch.control_qubit(q))
+                dev = max(dev, _two_path_outcome(joint, p, q, rho))
+    return {"max_dev": dev}
 
-    ch = channels.isotropic_channel(1 / 3)
-    joint = switch.switch_two(ch, ch, pure, switch.control_qubit(0.5))
-    sel = switch.post_select(joint, [1, 1])
-    fid = channels.qubit_fidelity(pure, sel.state)
-    check(
-        "lossless_point",
-        abs(fid - 1) < 1e-10 and abs(sel.probability - 1 / 3) < 1e-10,
-        f"F={fid:.12f}, prob={sel.probability:.12f}",
-    )
 
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    basis_u, _ = np.linalg.qr(g)
-    joint = switch.switch_two(
-        channels.isotropic_channel(0.17),
-        channels.isotropic_channel(0.17),
-        rho,
-        switch.control_qubit(0.42),
-    )
-    probs, acc = [], np.zeros((2, 2), dtype=complex)
-    for col in basis_u.T:
-        sub = switch.project_outcome(joint, col)
-        probs.append(float(np.real(np.trace(sub))))
-        acc += sub
-    perr = abs(sum(probs) - 1.0)
-    serr = float(np.max(np.abs(acc - joint.system_marginal())))
-    check(
-        "outcome_completeness",
-        perr < 1e-12 and serr < 1e-10,
-        f"prob sum dev {perr:.3e}, state dev {serr:.3e}",
-    )
+@_check({"max_dev": BRUTE}, quick=((0.25,), (0.7,)))
+def switched_fidelity_matches_pipeline(rng, size):
+    """size: (ps, qs); the paper's closed-form F of outcome + against the brute pipeline."""
+    rho = _haar_density(rng)
+    return {"max_dev": max(
+        abs(channels.qubit_fidelity(rho, _post_selected_plus(p, q, rho).state)
+            - analysis.switched_fidelity(analysis.SwitchParams(p, q)))
+        for p in size[0] for q in size[1])}
 
-    fids = []
-    ch = channels.isotropic_channel(0.2)
-    joint_control = switch.control_qubit(0.37)
-    for _ in range(50):
-        v = switch.haar_random_state(2, rng)
-        rho_in = np.outer(v, v.conj())
-        sel = switch.post_select(switch.switch_two(ch, ch, rho_in, joint_control), [1, 1])
-        fids.append(channels.qubit_fidelity(rho_in, sel.state))
-    spread = max(fids) - min(fids)
-    check("input_independence_haar", spread < 1e-10, f"spread {spread:.3e}")
 
-    # --- advantage analysis ----------------------------------------------------
-    err = 0.0
-    for mu in (0.3, 0.5):
+@_check({"F_dev": BRUTE, "prob_dev": BRUTE})
+def lossless_point(rng, _size):
+    pure = _haar_density(rng)
+    sel = _post_selected_plus(1 / 3, 0.5, pure)
+    return {"F_dev": abs(channels.qubit_fidelity(pure, sel.state) - 1),
+            "prob_dev": abs(sel.probability - 1 / 3)}
+
+
+@_check({"prob_sum_dev": EXACT, "state_dev": BRUTE}, quick=(0.17, 0.42))
+def outcome_completeness(rng, size):
+    """size: (p, q); the computational, Hadamard and one random control basis."""
+    p, q = size
+    rho = _haar_density(rng)
+    random_basis, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    ch = channels.isotropic_channel(p)
+    joint = switch.switch_two(ch, ch, rho, switch.control_qubit(q))
+    prob_dev = state_dev = 0.0
+    for basis in (np.eye(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2), random_basis):
+        subs = [switch.project_outcome(joint, col) for col in basis.T]
+        prob_dev = max(prob_dev, abs(sum(float(np.real(np.trace(s))) for s in subs) - 1.0))
+        state_dev = max(state_dev, _max_dev(sum(subs), joint.system_marginal()))
+    return {"prob_sum_dev": prob_dev, "state_dev": state_dev}
+
+
+@_check({"spread": BRUTE}, quick=50)
+def input_independence_haar(rng, size):
+    """size: the number of Haar inputs at p = 0.2, q = 0.37, outcome +."""
+    rhos = [_haar_density(rng) for _ in range(size)]
+    fids = [channels.qubit_fidelity(rho, _post_selected_plus(0.2, 0.37, rho).state) for rho in rhos]
+    return {"spread": max(fids) - min(fids)}
+
+
+@_check({"edge_dev": ROOT, "threshold_dev": ROOT, "region2_iff_mu_above_1/6": FLAG,
+         "region2_step_down": ORDER}, quick=((0.3, 0.5), 10))
+def advantage_region_boundaries(_rng, size):
+    """size: (mus, points); F = 2/3 at the edges, and F rising over region2 at mu = 1/2."""
+    mus, points = size
+    edge_dev = 0.0
+    for mu in mus:
         q = 0.5 * (1 + math.sqrt(1 - 4 * mu * mu))
         regions = analysis.advantage_regions(mu)
         for edge in (regions.p_lo, regions.p_hi):
-            f = analysis.switched_fidelity(analysis.SwitchParams(edge, q))
-            err = max(err, abs(f - 2 / 3))
-    dev = abs(mu_threshold_bisection() - 1 / 6)
-    check(
-        "advantage_region_boundaries",
-        err < 1e-9 and dev < 1e-9,
-        f"max |F-2/3| {err:.3e}, threshold dev {dev:.3e}",
-    )
+            if 0.0 <= edge <= 1 / 3:
+                f = analysis.switched_fidelity(analysis.SwitchParams(edge, q))
+                edge_dev = max(edge_dev, abs(f - 2 / 3))
+    exists_iff = (not analysis.advantage_regions(1 / 6).region2_exists
+                  and analysis.advantage_regions(1 / 6 + 1e-6).region2_exists)
+    ps = np.linspace(analysis.advantage_regions(0.5).p_hi, 1 / 3, points)
+    fs = [analysis.switched_fidelity(analysis.SwitchParams(p, 0.5)) for p in ps]
+    return {"edge_dev": edge_dev,
+            "threshold_dev": abs(mu_threshold_bisection() - 1 / 6),
+            "region2_iff_mu_above_1/6": float(not exists_iff),
+            "region2_step_down": float(np.max(-np.diff(fs)))}
 
-    err = max(abs(analysis.no_switch_merit(n) - no_switch_merit_exact(n)) for n in (1, 2, 3))
-    check("merit_reference_values", err < 1e-13, f"max dev {err:.3e}")
 
-    k_plus = analysis.figure_of_merit([1, 1], switch.control_qubit(0.5))
-    err = abs(k_plus - merit_plus_balanced_exact())
-    check("merit_exact_reference", err < 1e-13, f"|dK| {err:.3e}")
+@_check({"max_dev": MERIT, "K2_vs_paper": PAPER})
+def merit_reference_values(_rng, _size):
+    merits = {n: analysis.no_switch_merit(n) for n in (1, 2, 3)}
+    return {"max_dev": max(abs(k - no_switch_merit_exact(n)) for n, k in merits.items()),
+            "K2_vs_paper": abs(merits[2] - 0.016038)}
 
-    # --- multi-path ----------------------------------------------------------
-    rho = _haar_qubit_density(rng)
-    jn = switch.switch_n(channels.isotropic_channel(0.17), 2, rho, switch.control_qubit(0.42))
-    err = max(
-        float(np.max(np.abs(switch.project_outcome(jn, outcome)
-                            - switch.closed_form_two(0.17, 0.42, sign, rho))))
-        for sign, outcome in (("+", [1, 1]), ("-", [1, -1]))
-    )
-    check("n2_reduction_of_switch_n", err < 1e-12, f"max dev {err:.3e}")
 
+@_check({"K_plus_dev": MERIT, "argmax_is_(1,0)": FLAG}, quick=((0.0, 1.0, 2.0), (0.0, math.pi / 8)))
+def merit_exact_reference(_rng, size):
+    """size: (lambdas, phis) of the q = 1/2 search grid, whose argmax must be (1, 0)."""
+    control = switch.control_qubit(0.5)
+    argmax, _ = analysis.optimize_outcome(control, analysis.OutcomeFamily2, *size)
+    k_plus = analysis.figure_of_merit([1, 1], control)
+    return {"K_plus_dev": abs(k_plus - merit_plus_balanced_exact()),
+            "argmax_is_(1,0)": float(argmax != (1.0, 0.0))}
+
+
+@_check({"max_dev": EXACT})
+def n2_reduction_of_switch_n(rng, _size):
+    rho = _haar_density(rng)
+    joint = switch.switch_n(channels.isotropic_channel(0.17), 2, rho, switch.control_qubit(0.42))
+    return {"max_dev": _two_path_outcome(joint, 0.17, 0.42, rho)}
+
+
+@_check({"max_dev": BRUTE}, quick=((3, (0.22,)),))
+def polynomial_matches_brute_force(rng, size):
+    """size: ((n, ps), ...); fidelity_profile against switch_n for one Haar outcome per n."""
+    dev = 0.0
+    for n, ps in size:
+        ctrl = switch.uniform_control(n)
+        outcome = switch.haar_random_state(math.factorial(n), rng)
+        rho = _haar_density(rng)
+        for p, f in zip(ps, analysis.fidelity_profile(ctrl, outcome, ps, n)):
+            sel = switch.post_select(switch.switch_n(channels.isotropic_channel(p), n, rho, ctrl),
+                                     outcome)
+            dev = max(dev, abs(f - channels.qubit_fidelity(rho, sel.state)))
+    return {"max_dev": dev}
+
+
+@_check({"linearity_dev": ROOT, "F(1/3)_dev": ROOT, "F(0)_is_flagged_1": FLAG,
+         "prob_dev": BRUTE, "K_dev": MERIT})
+def three_path_alternating_outcome(_rng, _size):
     alt = analysis.AlphaOutcome(-1, -1, -1)
     ps = np.array([0.0, 0.05, 0.1, 0.25, 1 / 3])
     (fs,), (zero,) = analysis.alpha_fidelity_profile([alt], ps)
-    err = np.max(np.abs(fs - (1 / 3 + 2 * ps))[~zero])
-    lossless = abs(fs[-1] - 1.0)
-    at_zero = zero[0] and abs(fs[0] - 1.0) < 1e-12
-    num, den = analysis.fidelity_polynomials(switch.uniform_control(3), alt.vector(), 3)
-    prob_err = abs(np.polynomial.polynomial.polyval(1 / 3, den) - 2 / 9)
-    k_err = abs(analysis.figure_of_merit(alt.vector(), switch.uniform_control(3)) - 1 / 36)
-    check(
-        "three_path_alternating_outcome",
-        err < 1e-9 and lossless < 1e-9 and at_zero and prob_err < 1e-10 and k_err < 1e-13,
-        f"linearity dev {err:.3e}, F(1/3) dev {lossless:.3e}, prob dev {prob_err:.3e}",
-    )
+    ctrl = switch.uniform_control(3)
+    _, den = analysis.fidelity_polynomials(ctrl, alt.vector(), 3)
+    return {"linearity_dev": float(np.max(np.abs(fs - (1 / 3 + 2 * ps))[~zero])),
+            "F(1/3)_dev": abs(fs[-1] - 1.0),
+            "F(0)_is_flagged_1": float(not (zero[0] and fs[0] == 1.0)),
+            "prob_dev": abs(np.polynomial.polynomial.polyval(1 / 3, den) - 2 / 9),
+            "K_dev": abs(analysis.figure_of_merit(alt.vector(), ctrl) - 1 / 36)}
 
+
+@_check({"peak_offset": PHASE_PEAK, "K(1,0)_dev": MERIT, "family_min_below_floor": ROOT},
+        quick=((0.5, 2.0), (0.0, math.pi / 2)))
+def three_path_phase_peak(_rng, size):
+    """size: (lambdas, phis) of a family sample whose least K must reach the paper's 0.011252."""
     phis = np.arange(0.0, math.pi / 6 + 1e-12, math.pi / 720)
-    ks = analysis.merit_grid(
-        switch.uniform_control(3), analysis.OutcomeFamily3.grid([1.0], phis)
-    )
-    peak = float(phis[int(np.argmax(ks))])
-    base_err = abs(ks[0] - 1 / 36)
-    check(
-        "three_path_phase_peak",
-        abs(peak - math.pi / 12) < math.pi / 36 and base_err < 1e-13,
-        f"peak phi {peak:.6f}, K(1,0) dev {base_err:.3e}",
-    )
+    family = analysis.OutcomeFamily3.grid
+    ks = analysis.merit_grid(switch.uniform_control(3),
+                             np.concatenate([family([1.0], phis), family(*size)]))
+    peak = float(phis[int(np.argmax(ks[:len(phis)]))])
+    return {"peak_offset": abs(peak - math.pi / 12),
+            "K(1,0)_dev": abs(ks[0] - 1 / 36),
+            "family_min_below_floor": 0.011252 - float(np.min(ks[len(phis):]))}
 
-    k_half = analysis.k_total(switch.control_qubit(0.5))
-    k_one = analysis.k_total(switch.control_qubit(1.0))
-    err = max(abs(k_half - 5 / 27), abs(k_one - 17 / 81))
-    check("joint_fidelity_integrals", err < 1e-13, f"max dev {err:.3e}")
 
-    return results
+@_check({"max_dev": MERIT, "q=1_outcome_spread": ROOT, "K(|0>)_minus_K(+)": ORDER,
+         "K_total(1/2)_minus_K_total(1)": ORDER})
+def joint_fidelity_integrals(_rng, _size):
+    k_half, k_one = (analysis.k_total(switch.control_qubit(q)) for q in (0.5, 1.0))
+    # outcomes +, -, |0> and |1>; merit_grid normalizes each row
+    outcomes = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    at_one = analysis.merit_grid(switch.control_qubit(1.0), outcomes)
+    plus, zero = analysis.merit_grid(switch.control_qubit(0.5), outcomes[[0, 2]])
+    return {"max_dev": max(abs(k_half - 5 / 27), abs(k_one - 17 / 81)),
+            "q=1_outcome_spread": float(np.ptp(at_one)),
+            "K(|0>)_minus_K(+)": zero - plus,
+            "K_total(1/2)_minus_K_total(1)": k_half - k_one}
+
+
+def run_check(check, rng, size):
+    """Run one check at `size`; raises if its quantities are not its tolerance keys."""
+    deviations = check.run(rng, size)
+    if deviations.keys() != check.tolerances.keys():
+        raise ValueError(f"check {check.name} returned {sorted(deviations)}, "
+                         f"expected {sorted(check.tolerances)}")
+    deviations = {k: float(deviations[k]) for k in check.tolerances}
+    passed = all(deviations[k] < tol for k, tol in check.tolerances.items())
+    detail = ", ".join(f"{k} {v:.3e}" for k, v in deviations.items())
+    return CheckResult(check.name, passed, detail, deviations, dict(check.tolerances))
+
+
+def run_all(seed=42):
+    """Run every check at its quick size; returns a list of CheckResult in CHECKS order."""
+    rng = np.random.default_rng(seed)
+    return [run_check(check, rng, check.quick) for check in CHECKS]
 
 
 def report_lines(results):

@@ -1,257 +1,98 @@
-"""Acceptance gate: ten end-to-end criteria with explicit tolerances.
+"""Acceptance gate: the ten criteria, each run as registry checks at full size.
 
-Each test prints one [PASS]/[FAIL] line (bypassing capture) so the criterion
-status is visible in any pytest run. Reference constants are frozen from
-independent root solves or written as closed-form integrals, not taken from
-the code under test.
+`teleswitch verify` runs every check of `verification.CHECKS` at its quick
+size. Each criterion here runs the checks that carry it on the criterion's own
+grid and seed, with the registry's tolerances. A check that no criterion names
+takes no size, so the quick run of tests/test_verification.py is its full run.
+Every check prints one [PASS]/[FAIL] line (bypassing capture) with its
+deviations.
 """
 import math
 
 import numpy as np
-import pytest
 
-from teleswitch import analysis, channels, switch, verification
+from teleswitch import verification
 
-POLYVAL = np.polynomial.polynomial.polyval
+CHECKS = {check.name: check for check in verification.CHECKS}
+P21, Q21 = np.linspace(0.0, 1 / 3, 21), np.linspace(0.0, 1.0, 21)
 
-# frozen independent references
-THRESHOLD_2 = 0.105662432702594   # bisection of 1 - 4p + 8p^2 = 2/3
-THRESHOLD_3 = 0.076659681412341   # bisection of 1/2 + (1-4p)^3/2 = 2/3
-MERIT_NO_SWITCH_2 = 0.016037507477490
-MERIT_NO_SWITCH_3 = 0.011250873156791
+# criterion -> (check, full size, seed) of each check that carries it
+CRITERIA = {
+    1: [("switched_fidelity_matches_pipeline", (P21, Q21), 101)],
+    2: [("no_switch_formula_matches_composition", (np.linspace(0.0, 1 / 3, 35), (1, 2)), 102),
+        ("thresholds_match_root_solve", None, 102)],
+    3: [("lossless_point", None, 103)],
+    4: [("advantage_region_boundaries", ((0.0, 0.1, 1 / 6, 0.25, 0.4, 0.5), 100), 104)],
+    5: [("closed_form_matches_brute_force", (20, P21, Q21), 105)],
+    6: [("outcome_completeness", (0.23, 0.61), 106)],
+    7: [("input_independence_haar", 100, 107)],
+    8: [("merit_reference_values", None, 108),
+        ("merit_exact_reference",
+         (np.linspace(0.0, 2.0, 11), [k * math.pi / 8 for k in range(16)]), 108)],
+    9: [("n2_reduction_of_switch_n", None, 109),
+        ("polynomial_matches_brute_force", ((3, (0.06, 0.22, 0.31)), (4, (0.2,))), 24),
+        ("three_path_alternating_outcome", None, 109),
+        ("three_path_phase_peak",
+         ((0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0),
+          (0.0, math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2,
+           2 * math.pi / 3, math.pi)), 109)],
+    10: [("joint_fidelity_integrals", None, 110)],
+}
 
 
-@pytest.fixture
-def report(capsys):
-    def _report(num, ok, detail):
+def _gate(criterion, capsys):
+    failed = []
+    for name, size, seed in CRITERIA[criterion]:
+        result = verification.run_check(CHECKS[name], np.random.default_rng(seed), size)
         with capsys.disabled():
-            print(f"\n[{'PASS' if ok else 'FAIL'}] criterion {num:2d}: {detail}")
-        assert ok, f"criterion {num}: {detail}"
-
-    return _report
-
-
-def _pipeline_fidelity(p, q, rho):
-    ch = channels.isotropic_channel(p)
-    joint = switch.switch_two(ch, ch, rho, switch.control_qubit(q))
-    sel = switch.post_select(joint, [1, 1])
-    return channels.qubit_fidelity(rho, sel.state), sel.probability
+            print(f"\n[{'PASS' if result.passed else 'FAIL'}] criterion {criterion:2d} "
+                  f"{name}: {result.detail}")
+        if not result.passed:
+            failed.append((name, result.deviations, result.tolerances))
+    assert not failed
 
 
-def test_criterion_01_closed_form_vs_simulation(report):
-    rng = np.random.default_rng(101)
-    v = switch.haar_random_state(2, rng)
-    rho = np.outer(v, v.conj())
-    worst = 0.0
-    for p in np.linspace(0.0, 1 / 3, 21):
-        for q in np.linspace(0.0, 1.0, 21):
-            got, _ = _pipeline_fidelity(p, q, rho)
-            want = analysis.switched_fidelity(analysis.SwitchParams(p, q))
-            worst = max(worst, abs(got - want))
-    report(1, worst < 1e-10,
-           f"closed form vs pipeline on 21x21 grid, max dev {worst:.3e} < 1e-10")
+def test_every_sized_check_has_a_criterion():
+    named = [name for checks in CRITERIA.values() for name, _, _ in checks]
+    assert len(named) == len(set(named)) and set(named) <= set(CHECKS)
+    assert {name for name, check in CHECKS.items() if check.quick is not None} <= set(named)
 
 
-def test_criterion_02_baselines_and_thresholds(report):
-    rng = np.random.default_rng(102)
-    v = switch.haar_random_state(2, rng)
-    pure = np.outer(v, v.conj())
-    worst = 0.0
-    for p in np.linspace(0.0, 1 / 3, 35):
-        once = channels.apply_channel(channels.isotropic_channel(p), pure)
-        twice = channels.apply_channel(channels.isotropic_channel(p), once)
-        worst = max(worst, abs(channels.qubit_fidelity(pure, once) - (1 - 2 * p)))
-        worst = max(
-            worst, abs(channels.qubit_fidelity(pure, twice) - (1 - 4 * p + 8 * p * p))
-        )
-    t_dev = max(
-        abs(channels.no_switch_threshold(1) - 1 / 6),
-        abs(channels.no_switch_threshold(2) - THRESHOLD_2),
-        abs(channels.no_switch_threshold(3) - THRESHOLD_3),
-    )
-    ok = worst < 1e-12 and t_dev < 1e-6
-    report(2, ok,
-           f"F1/F2 vs composition max dev {worst:.3e} < 1e-12; "
-           f"thresholds (1/6, {THRESHOLD_2:.6f}, {THRESHOLD_3:.6f}) dev {t_dev:.3e} < 1e-6")
+def test_criterion_01_closed_form_vs_simulation(capsys):
+    _gate(1, capsys)
 
 
-def test_criterion_03_lossless_point(report):
-    rng = np.random.default_rng(103)
-    v = switch.haar_random_state(2, rng)
-    rho = np.outer(v, v.conj())
-    fid, prob = _pipeline_fidelity(1 / 3, 0.5, rho)
-    ok = abs(fid - 1.0) < 1e-10 and abs(prob - 1 / 3) < 1e-10
-    report(3, ok,
-           f"p=1/3, q=1/2, outcome +: F={fid:.12f} (dev {abs(fid-1):.3e} < 1e-10), "
-           f"prob={prob:.12f} (dev {abs(prob-1/3):.3e} < 1e-10)")
+def test_criterion_02_baselines_and_thresholds(capsys):
+    _gate(2, capsys)
 
 
-def test_criterion_04_advantage_regions(report):
-    worst = 0.0
-    for mu in (0.0, 0.1, 1 / 6, 0.25, 0.4, 0.5):
-        regions = analysis.advantage_regions(mu)
-        q = 0.5 * (1 + math.sqrt(1 - 4 * mu * mu))
-        for edge in (regions.p_lo, regions.p_hi):
-            if 0.0 <= edge <= 1 / 3:
-                f = analysis.switched_fidelity(analysis.SwitchParams(edge, q))
-                worst = max(worst, abs(f - 2 / 3))
-    exists_ok = (
-        not analysis.advantage_regions(1 / 6).region2_exists
-        and analysis.advantage_regions(1 / 6 + 1e-6).region2_exists
-    )
-    mu_star = verification.mu_threshold_bisection()
-    regions = analysis.advantage_regions(0.5)
-    ps = np.linspace(regions.p_hi, 1 / 3, 100)
-    fs = [analysis.switched_fidelity(analysis.SwitchParams(p, 0.5)) for p in ps]
-    increasing = bool(np.all(np.diff(fs) > 0))
-    ok = worst < 1e-9 and exists_ok and abs(mu_star - 1 / 6) < 1e-9 and increasing
-    report(4, ok,
-           f"boundary |F-2/3| max {worst:.3e} < 1e-9; region2 iff mu>1/6 "
-           f"(bisection dev {abs(mu_star - 1/6):.3e} < 1e-9); "
-           f"F strictly increasing in region2: {increasing}")
+def test_criterion_03_lossless_point(capsys):
+    _gate(3, capsys)
 
 
-def test_criterion_05_closed_form_elementwise(report):
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for _ in range(20):
-        v = switch.haar_random_state(2, rng)
-        rho = np.outer(v, v.conj())
-        for p in np.linspace(0.0, 1 / 3, 21):
-            ch = channels.isotropic_channel(p)
-            for q in np.linspace(0.0, 1.0, 21):
-                joint = switch.switch_two(ch, ch, rho, switch.control_qubit(q))
-                for sign, outcome in (("+", [1, 1]), ("-", [1, -1])):
-                    brute = switch.project_outcome(joint, outcome)
-                    closed = switch.closed_form_two(p, q, sign, rho)
-                    worst = max(worst, float(np.max(np.abs(brute - closed))))
-    report(5, worst < 1e-10,
-           f"term-by-term closed form vs projected joint state, 20 inputs x 21x21 grid "
-           f"x both signs, max elementwise dev {worst:.3e} < 1e-10")
+def test_criterion_04_advantage_regions(capsys):
+    _gate(4, capsys)
 
 
-def test_criterion_06_measurement_completeness(report):
-    rng = np.random.default_rng(106)
-    v = switch.haar_random_state(2, rng)
-    rho = np.outer(v, v.conj())
-    ch = channels.isotropic_channel(0.23)
-    joint = switch.switch_two(ch, ch, rho, switch.control_qubit(0.61))
-    bases = [
-        np.eye(2, dtype=complex),
-        np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-        np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0],
-    ]
-    prob_dev, state_dev = 0.0, 0.0
-    for basis in bases:
-        total_prob = 0.0
-        acc = np.zeros((2, 2), dtype=complex)
-        for col in basis.T:
-            sub = switch.project_outcome(joint, col)
-            total_prob += float(np.real(np.trace(sub)))
-            acc += sub
-        prob_dev = max(prob_dev, abs(total_prob - 1.0))
-        state_dev = max(state_dev, float(np.max(np.abs(acc - joint.system_marginal()))))
-    ok = prob_dev < 1e-12 and state_dev < 1e-10
-    report(6, ok,
-           f"outcome probabilities sum to 1 (dev {prob_dev:.3e} < 1e-12); "
-           f"weighted outcome states equal control-traced joint (dev {state_dev:.3e} < 1e-10)")
+def test_criterion_05_closed_form_elementwise(capsys):
+    _gate(5, capsys)
 
 
-def test_criterion_07_input_independence(report):
-    rng = np.random.default_rng(107)
-    ch = channels.isotropic_channel(0.2)
-    control = switch.control_qubit(0.37)
-    fids = []
-    for _ in range(100):
-        v = switch.haar_random_state(2, rng)
-        rho = np.outer(v, v.conj())
-        sel = switch.post_select(switch.switch_two(ch, ch, rho, control), [1, 1])
-        fids.append(channels.qubit_fidelity(rho, sel.state))
-    spread = max(fids) - min(fids)
-    report(7, spread < 1e-10,
-           f"fidelity spread over 100 Haar inputs at fixed (p, q, outcome): "
-           f"{spread:.3e} < 1e-10")
+def test_criterion_06_measurement_completeness(capsys):
+    _gate(6, capsys)
 
 
-def test_criterion_08_figure_of_merit(report):
-    k2 = analysis.no_switch_merit(2)
-    k2_ok = abs(k2 - 0.016038) < 1e-6
-    control = switch.control_qubit(0.5)
-    lambdas = np.linspace(0.0, 2.0, 11)
-    phis = [k * math.pi / 8 for k in range(16)]
-    (lam, phi), _ = analysis.optimize_outcome(
-        control, analysis.OutcomeFamily2, lambdas, phis
-    )
-    argmax_ok = (lam, phi) == (1.0, 0.0)
-    k_plus = analysis.figure_of_merit([1, 1], control)
-    exact = abs(k_plus - verification.merit_plus_balanced_exact())
-    ok = k2_ok and argmax_ok and exact < 1e-13
-    report(8, ok,
-           f"K_no_switch(2)={k2:.9f} within 1e-6 of 0.016038; grid argmax at "
-           f"(lambda, phi)=({lam:g}, {phi:g}); K(+, q=1/2) dev from the closed-form "
-           f"antiderivative {exact:.3e} < 1e-13")
+def test_criterion_07_input_independence(capsys):
+    _gate(7, capsys)
 
 
-def test_criterion_09_three_paths(report):
-    rng = np.random.default_rng(109)
-    v = switch.haar_random_state(2, rng)
-    rho = np.outer(v, v.conj())
-    joint2 = switch.switch_n(channels.isotropic_channel(0.17), 2, rho, switch.control_qubit(0.42))
-    reduction = max(
-        float(np.max(np.abs(switch.project_outcome(joint2, outcome)
-                            - switch.closed_form_two(0.17, 0.42, sign, rho))))
-        for sign, outcome in (("+", [1, 1]), ("-", [1, -1]))
-    )
-    ctrl3 = switch.uniform_control(3)
-    alt = analysis.OutcomeFamily3(1.0, 0.0).vector()
-    num, den = analysis.fidelity_polynomials(ctrl3, alt, 3)
-    f_top = analysis.evaluate_fidelity(num, den, 1 / 3)[0]
-    f_zero = analysis.alpha_fidelity_profile([analysis.AlphaOutcome(-1, -1, -1)], [0.0])[0][0, 0]
-    k_floor = MERIT_NO_SWITCH_3
-    sampled_min = min(
-        analysis.figure_of_merit(analysis.OutcomeFamily3(lam, phi), ctrl3)
-        for lam in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
-        for phi in (0.0, math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3,
-                    math.pi / 2, 2 * math.pi / 3, math.pi)
-    )
-    phis = np.arange(0.0, math.pi / 6 + 1e-12, math.pi / 720)
-    ks = [
-        analysis.figure_of_merit(analysis.OutcomeFamily3(1.0, phi), ctrl3)
-        for phi in phis
-    ]
-    peak = float(phis[int(np.argmax(ks))])
-    ok = (
-        reduction < 1e-12
-        and abs(f_top - 1.0) < 1e-9
-        and f_zero == 1.0
-        and sampled_min >= 0.011252 - 1e-9
-        and abs(peak - math.pi / 12) < math.pi / 36
-    )
-    report(9, ok,
-           f"n=2 reduction (switch_n vs closed form) dev {reduction:.3e} < 1e-12; "
-           f"alternating F(1/3) dev {abs(f_top-1):.3e} < 1e-9 and F(0)={f_zero:g}; "
-           f"sampled family min K {sampled_min:.9f} >= {k_floor:.9f} (paper floor 0.011252); lambda=1 scan "
-           f"peak at phi={peak:.4f}, within pi/36 of pi/12")
+def test_criterion_08_figure_of_merit(capsys):
+    _gate(8, capsys)
 
 
-def test_criterion_10_tradeoff(report):
-    outcomes = {
-        "plus": np.array([1.0, 1.0]) / math.sqrt(2),
-        "minus": np.array([1.0, -1.0]) / math.sqrt(2),
-        "0": np.array([1.0, 0.0]),
-        "1": np.array([0.0, 1.0]),
-    }
-    ctrl_one = switch.control_qubit(1.0)
-    ks = [analysis.figure_of_merit(m, ctrl_one) for m in outcomes.values()]
-    converge = max(ks) - min(ks)
-    ctrl_half = switch.control_qubit(0.5)
-    k_plus = analysis.figure_of_merit(outcomes["plus"], ctrl_half)
-    k_zero = analysis.figure_of_merit(outcomes["0"], ctrl_half)
-    kt_half = analysis.k_total(ctrl_half)
-    kt_one = analysis.k_total(ctrl_one)
-    ok = converge < 1e-9 and k_plus > k_zero and kt_half < kt_one
-    report(10, ok,
-           f"q=1: four outcome K values coincide (spread {converge:.3e} < 1e-9); "
-           f"q=1/2: K(+)={k_plus:.6f} > K(|0>)={k_zero:.6f}, and the superposed "
-           f"control trades total fidelity down: K_total(1/2)={kt_half:.6f} < "
-           f"K_total(1)={kt_one:.6f}")
+def test_criterion_09_three_paths(capsys):
+    _gate(9, capsys)
+
+
+def test_criterion_10_tradeoff(capsys):
+    _gate(10, capsys)

@@ -427,7 +427,12 @@ def test_config_file_errors(tmp_path, capsys):
                              ("three-path", {"paths": 3.0}),
                              ("fidelity-curves", {"outcome": "bogus"}),
                              ("fidelity-curves", {"out": 5}),
-                             ("fidelity-curves", {"format": "xml"})):
+                             ("fidelity-curves", {"format": "xml"}),
+                             # JSON booleans are not numbers
+                             ("fidelity-curves", {"q": True}),
+                             ("fidelity-curves", {"p_step": True}),
+                             ("fom-scan", {"lambda": True, "phi": 0}),
+                             ("three-path", {"alpha": [1, False, 1]})):
         typed = tmp_path / "typed.json"
         typed.write_text(json.dumps(payload))
         assert run_cli([command, "--config", str(typed)]) == 1
@@ -507,7 +512,11 @@ def test_verify_reports_and_exits_zero(tmp_path, capsys):
     assert run_cli(["verify", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["failed"] == 0
-    assert len(payload["checks"]) >= 12
+    assert [c["name"] for c in payload["checks"]] == [c.name for c in verification.CHECKS]
+    for check in payload["checks"]:
+        devs, tols = check["deviations"], check["tolerances"]
+        assert devs.keys() == tols.keys() and devs
+        assert all(devs[k] < tols[k] for k in devs), check["name"]
     lines = capsys.readouterr().out.splitlines()
     assert all(line.startswith("[PASS]") for line in lines if line)
 
