@@ -30,7 +30,6 @@ DEFAULTS = {
     "p_step": 0.001,
     "seed": 42,
     "format": "csv",
-    "paths": 3,
     "outcome": "plus",
 }
 
@@ -40,9 +39,6 @@ CONFIG_KEYS = (*DEFAULTS, "lam", "phi", "alpha", "out")
 
 # keys that must hold finite numbers; "lam" is set by --lambda
 FLOAT_KEYS = ("q", "p_min", "p_max", "p_step", "lam", "phi")
-
-# keys that must hold integers
-INT_KEYS = ("seed", "paths")
 
 # largest p grid any subcommand builds
 MAX_P_POINTS = 100_000
@@ -284,8 +280,6 @@ def cmd_coherence_scan(cfg):
 
 
 def cmd_three_path(cfg):
-    if cfg["paths"] != 3:
-        raise UsageError("three-path requires --paths 3")
     control = switch.uniform_control(3)
     if cfg.get("lam") is not None or cfg.get("phi") is not None:
         lams, phis = _scan_grids(cfg)
@@ -365,7 +359,6 @@ def build_parser():
     common.add_argument("--phi", type=float, default=None, help="outcome family phase")
     common.add_argument("--alpha", type=_alpha_tuple, default=None,
                         help="three-path odd-permutation coefficients a1,a2,a3")
-    common.add_argument("--paths", type=int, default=None, help="number of channel copies")
     common.add_argument("--outcome", choices=CHOICES["outcome"], default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", type=str, default=None, help="output file path")
@@ -406,9 +399,8 @@ def resolve_config(args):
         if cfg.get(key) is not None and not _finite_number(cfg[key]):
             name = "lambda" if key == "lam" else key
             raise UsageError(f"{name} must be a finite number, got {cfg[key]!r}")
-    for key in INT_KEYS:
-        if isinstance(cfg[key], bool) or not isinstance(cfg[key], int):
-            raise UsageError(f"{key} must be an integer, got {cfg[key]!r}")
+    if isinstance(cfg["seed"], bool) or not isinstance(cfg["seed"], int):
+        raise UsageError(f"seed must be an integer, got {cfg['seed']!r}")
     if cfg["seed"] < 0:
         raise UsageError(f"seed must be a non-negative integer, got {cfg['seed']}")
     for key, allowed in CHOICES.items():

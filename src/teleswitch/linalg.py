@@ -56,15 +56,15 @@ def partial_trace(joint, dim_a, dim_b, keep):
 
 
 def assert_density_matrix(rho):
-    """Validate Hermiticity, unit trace and positivity up to rounding."""
+    """Validate Hermiticity, unit trace and positivity up to rounding of each (..., d, d) matrix."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
-    if not np.max(np.abs(rho - rho.conj().T)) < DENSITY_TOL:
+    if not np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) < DENSITY_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > DENSITY_TOL:
-        raise ValueError(f"density matrix trace {tr} is not 1")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    if np.any(abs(tr - 1.0) > DENSITY_TOL):
+        raise ValueError(f"density matrix trace {tr.flat[np.argmax(abs(tr - 1.0))]} is not 1")
     w = np.linalg.eigvalsh(rho)
     if np.any(w < -DENSITY_TOL):
         raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")

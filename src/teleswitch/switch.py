@@ -12,7 +12,10 @@ leaves an unnormalized system state whose trace is the outcome probability.
 switch_two and switch_n compute this joint directly from the Kraus operators
 of any channels: the ordered products for every index tuple are built as one
 batched stack per permutation, and the sum over tuples is a single einsum.
-This brute route uses no Pauli algebra, so it is an independent oracle.
+The joint is linear in rho, so rho may be one (2, 2) state or an (R, 2, 2) stack:
+joints, projected states and probabilities then carry the leading R axis, and each
+row equals its own one-state call. This brute route uses no Pauli algebra, so it
+is an independent oracle.
 
 For isotropic Pauli channels the same multiset of Pauli factors appears in
 every branch, in different orders, so branch products differ only by signs.
@@ -128,6 +131,7 @@ def _switch(channels, rho, control):
     perm[0] first. The ordered Kraus products of every index tuple t form
     one (n!, T, 2, 2) stack O, and the joint is one contraction over tuples:
     J[(i,a),(l,b)] = c_a conj(c_b) sum_t (O[a,t] rho O[b,t]^dag)[i,l].
+    rho is one (2, 2) state or an (R, 2, 2) stack, making J (2 n!, 2 n!) or (R, 2 n!, 2 n!).
     """
     n = len(channels)
     perms = enumerate_permutations(n)
@@ -135,8 +139,8 @@ def _switch(channels, rho, control):
     if control.dim != d:
         raise ValueError(f"control dimension {control.dim} != {n}! = {d}")
     rho = assert_density_matrix(np.asarray(rho, dtype=complex))
-    if rho.shape != (2, 2):
-        raise ValueError("system state must be a qubit")
+    if rho.shape[-2:] != (2, 2) or rho.ndim > 3:
+        raise ValueError("system state must be a qubit or a stack of qubits")
     # copy c's Kraus index sits on batch axis c, so each product broadcasts
     # over every index tuple at once
     kraus = [
@@ -150,9 +154,10 @@ def _switch(channels, rho, control):
             op = kraus[copy] @ op
         ops.append(op.reshape(-1, 2, 2))
     ops = np.stack(ops)
-    joint = np.einsum("atij,btlj->ialb", ops @ rho, ops.conj(), optimize=True)
+    rho = rho[..., None, None, :, :]
+    joint = np.einsum("...atij,btlj->...ialb", ops @ rho, ops.conj(), optimize=True)
     joint *= control.density()[:, None, :]
-    return JointState(joint.reshape(2 * d, 2 * d), d)
+    return JointState(joint.reshape(rho.shape[:-4] + (2 * d, 2 * d)), d)
 
 
 def switch_two(cha, chb, rho, control):
@@ -166,25 +171,24 @@ def switch_n(channel, n, rho, control):
 
 
 def project_outcome(joint, outcome):
-    """Unnormalized system state <m| J |m>, inner product on the control factor."""
+    """Unnormalized system state <m| J |m> on the control factor; (R, 2, 2) for a stack."""
     m = normalize_state(outcome)
-    if len(m) != joint.control_dim:
-        raise ValueError(
-            f"outcome dimension {len(m)} != control dimension {joint.control_dim}"
-        )
-    j = joint.matrix.reshape(2, joint.control_dim, 2, joint.control_dim)
-    return np.einsum("a,iajb,b->ij", m.conj(), j, m)
+    d = joint.control_dim
+    if len(m) != d:
+        raise ValueError(f"outcome dimension {len(m)} != control dimension {d}")
+    j = joint.matrix.reshape(joint.matrix.shape[:-2] + (2, d, 2, d))
+    return np.einsum("a,...iajb,b->...ij", m.conj(), j, m)
 
 
 def post_select(joint, outcome):
-    """Condition the joint state on a control measurement outcome."""
+    """Condition the joint state on a control measurement outcome; a joint of an
+    (R, 2, 2) stack gives R states and R probabilities, and fails if any row does."""
     sub = project_outcome(joint, outcome)
-    probability = float(np.real(np.trace(sub)))
-    if probability < DEGENERATE_PROB:
-        raise DegenerateOutcomeError(
-            f"outcome probability {probability:.3e} below {DEGENERATE_PROB}"
-        )
-    return PostSelectionResult(sub / probability, probability)
+    probability = np.real(np.trace(sub, axis1=-2, axis2=-1))
+    low = np.min(probability)
+    if low < DEGENERATE_PROB:
+        raise DegenerateOutcomeError(f"outcome probability {low:.3e} below {DEGENERATE_PROB}")
+    return PostSelectionResult(sub / probability[..., None, None], probability)
 
 
 # _PAULI_PAIRS[i, j] = sigma_i sigma_j
@@ -198,6 +202,7 @@ def closed_form_two(p, q, sign, rho):
                            +- mu S_ji rho S_ji + (1-q) S_ji rho S_ij ]
 
     with S_ij = sigma_i sigma_j and mu = sqrt(q(1-q)); sign picks the +- branch.
+    rho is one (2, 2) state or an (R, 2, 2) stack, giving one state per row.
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
@@ -205,19 +210,20 @@ def closed_form_two(p, q, sign, rho):
         raise ValueError(f"p={p} outside [0, 1/3]")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q={q} outside [0, 1]")
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)[..., None, None, :, :]
     s = 1.0 if sign == "+" else -1.0
     mu = math.sqrt(q * (1 - q))
     weights = np.array([1 - 3 * p, p, p, p])
     sij, sji = _PAULI_PAIRS, _PAULI_PAIRS.transpose(1, 0, 2, 3)
+    left_ij, left_ji = sij @ rho, sji @ rho
     terms = (
-        q * (sij @ rho @ sji)
-        + s * mu * (sij @ rho @ sij)
-        + s * mu * (sji @ rho @ sji)
-        + (1 - q) * (sji @ rho @ sij)
+        q * (left_ij @ sji)
+        + s * mu * (left_ij @ sij)
+        + s * mu * (left_ji @ sji)
+        + (1 - q) * (left_ji @ sij)
     )
     coeffs = np.outer(weights, weights) / 2
-    return (coeffs[..., None, None] * terms).reshape(16, 2, 2).sum(axis=0)
+    return (coeffs[..., None, None] * terms).reshape(terms.shape[:-4] + (16, 2, 2)).sum(axis=-3)
 
 
 def haar_random_state(dim, rng):

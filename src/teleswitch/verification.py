@@ -170,16 +170,15 @@ def thresholds_match_root_solve(_rng, _size):
 
 @_check({"max_dev": BRUTE}, quick=(1, (0.05, 0.2, 1 / 3), (0.3, 0.5, 0.9)))
 def closed_form_matches_brute_force(rng, size):
-    """size: (inputs, ps, qs); closed_form_two against the projected switch_two output."""
+    """size: (inputs, ps, qs); closed_form_two against switch_two, one stacked call per (p, q)."""
     inputs, ps, qs = size
+    rhos = np.array([_haar_density(rng) for _ in range(inputs)])
     dev = 0.0
-    for _ in range(inputs):
-        rho = _haar_density(rng)
-        for p in ps:
-            ch = channels.isotropic_channel(p)
-            for q in qs:
-                joint = switch.switch_two(ch, ch, rho, switch.control_qubit(q))
-                dev = max(dev, _two_path_outcome(joint, p, q, rho))
+    for p in ps:
+        ch = channels.isotropic_channel(p)
+        for q in qs:
+            joint = switch.switch_two(ch, ch, rhos, switch.control_qubit(q))
+            dev = max(dev, _two_path_outcome(joint, p, q, rhos))
     return {"max_dev": dev}
 
 
@@ -219,9 +218,10 @@ def outcome_completeness(rng, size):
 
 @_check({"spread": BRUTE}, quick=50)
 def input_independence_haar(rng, size):
-    """size: the number of Haar inputs at p = 0.2, q = 0.37, outcome +."""
-    rhos = [_haar_density(rng) for _ in range(size)]
-    fids = [channels.qubit_fidelity(rho, _post_selected_plus(0.2, 0.37, rho).state) for rho in rhos]
+    """size: the number of Haar inputs at p = 0.2, q = 0.37, outcome +, switched as one stack."""
+    rhos = np.array([_haar_density(rng) for _ in range(size)])
+    states = _post_selected_plus(0.2, 0.37, rhos).state
+    fids = [channels.qubit_fidelity(rho, state) for rho, state in zip(rhos, states)]
     return {"spread": max(fids) - min(fids)}
 
 
@@ -272,7 +272,7 @@ def n2_reduction_of_switch_n(rng, _size):
     return {"max_dev": _two_path_outcome(joint, 0.17, 0.42, rho)}
 
 
-@_check({"max_dev": BRUTE}, quick=((3, (0.22,)),))
+@_check({"max_dev": BRUTE}, quick=((3, (0.22,)), (4, (0.2,))))
 def polynomial_matches_brute_force(rng, size):
     """size: ((n, ps), ...); fidelity_profile against switch_n for one Haar outcome per n."""
     dev = 0.0

@@ -393,8 +393,10 @@ def test_three_path_phase_scan(capsys):
 
 
 def test_three_path_rejects_other_path_counts(capsys):
-    assert run_cli(["three-path", "--paths", "2"]) == 1
-    capsys.readouterr()
+    # three-path is fixed at three paths, so --paths is no flag at all
+    for count in ("2", "3"):
+        assert run_cli(["three-path", "--paths", count]) == 1
+        assert f"unrecognized arguments: --paths {count}" in capsys.readouterr().err
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -425,6 +427,7 @@ def test_config_file_errors(tmp_path, capsys):
     # values of the wrong type or outside a flag's choices
     for command, payload in (("verify", {"seed": "x"}), ("verify", {"seed": True}),
                              ("three-path", {"paths": 3.0}),
+                             ("three-path", {"paths": 3}),
                              ("fidelity-curves", {"outcome": "bogus"}),
                              ("fidelity-curves", {"out": 5}),
                              ("fidelity-curves", {"format": "xml"}),
@@ -588,7 +591,7 @@ def test_json_format_does_not_carry_over_to_the_next_call(capsys):
 
 
 COMMON_OPTIONS = ["--q", "--p-min", "--p-max", "--p-step", "--lambda", "--phi", "--alpha",
-                  "--paths", "--outcome", "--seed", "--out", "--format", "--config"]
+                  "--outcome", "--seed", "--out", "--format", "--config"]
 
 
 def test_help_screens_repeat_and_share_the_common_options(capsys):

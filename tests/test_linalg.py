@@ -74,13 +74,29 @@ def test_assert_density_matrix_accepts_and_rejects():
         linalg.assert_density_matrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))
     with pytest.raises(ValueError):
         linalg.assert_density_matrix(np.diag([1.5, -0.5]))
+    # a stack passes only if every matrix in it does
+    stack = np.array([good, np.eye(2) / 2, good])
+    assert linalg.assert_density_matrix(stack).shape == (3, 2, 2)
+    assert linalg.assert_density_matrix(stack[None]).shape == (1, 3, 2, 2)
+    for bad, message in ((np.diag([0.5, 0.6]), "trace 1.1 is not 1"),
+                         (np.diag([1.5, -0.5]), "not PSD"),
+                         (np.array([[0.5, 0.5], [-0.5, 0.5]]), "not Hermitian")):
+        with pytest.raises(ValueError, match=message):
+            linalg.assert_density_matrix(np.array([good, bad, good]))
+    with pytest.raises(ValueError, match="square"):
+        linalg.assert_density_matrix(np.ones((3, 2, 3)) / 2)
 
 
 def test_clamp_psd_eigenvalues():
-    # a negative eigenvalue at rounding size passes; a real one does not
+    # a negative eigenvalue at rounding size passes; a real one does not,
+    # in one matrix or in any row of a stack
     assert linalg.assert_density_matrix(np.diag([1.0 + 1e-12, -1e-12])) is not None
     with pytest.raises(ValueError, match="not PSD"):
         linalg.assert_density_matrix(np.diag([1.0 + 1e-3, -1e-3]))
+    rows = np.array([np.diag([1.0 + 1e-12, -1e-12]), np.diag([1.0 + 1e-3, -1e-3])])
+    assert linalg.assert_density_matrix(rows[:1]) is not None
+    with pytest.raises(ValueError, match="min eigenvalue -1.000e-03"):
+        linalg.assert_density_matrix(rows)
 
 
 def test_projector_is_rank_one_idempotent():

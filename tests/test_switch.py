@@ -78,13 +78,22 @@ def test_switch_two_orders_two_different_channels():
     damping = [np.array([[1, 0], [0, math.sqrt(1 - gamma)]]),
                np.array([[0, math.sqrt(gamma)], [0, 0]])]
     flip = [math.sqrt(0.7) * np.eye(2), math.sqrt(0.3) * channels.PAULI[1]]
-    rho = _pure(np.random.default_rng(23))
+    rng = np.random.default_rng(23)
+    rho = _pure(rng)
     first_damping = _kraus_apply(flip, _kraus_apply(damping, rho))
     first_flip = _kraus_apply(damping, _kraus_apply(flip, rho))
     assert np.max(np.abs(first_damping - first_flip)) > 1e-2
     for q, want in ((1.0, first_damping), (0.0, first_flip)):
         joint = switch.switch_two(damping, flip, rho, switch.control_qubit(q))
         assert np.max(np.abs(joint.system_marginal() - want)) < 1e-12
+    # a stack of inputs: every row is its own one-input call, bit for bit
+    rhos = np.array([rho, *(_pure(rng) for _ in range(6)), np.eye(2) / 2])
+    for q in (0.0, 0.3, 1.0):
+        control = switch.control_qubit(q)
+        stacked = switch.switch_two(damping, flip, rhos, control)
+        assert stacked.matrix.shape == (8, 4, 4)
+        for row, r in zip(stacked.matrix, rhos):
+            assert np.array_equal(row, switch.switch_two(damping, flip, r, control).matrix)
 
 
 def test_switch_two_input_validation():
@@ -94,6 +103,12 @@ def test_switch_two_input_validation():
         switch.switch_two(ch, ch, np.eye(3) / 3, switch.control_qubit(0.5))
     with pytest.raises(ValueError):
         switch.switch_two(ch, ch, good, switch.uniform_control(3))
+    # a stack is refused if one row is not a state, or if it has two stack axes
+    for bad in (np.diag([0.5, 0.6]), np.diag([1.5, -0.5])):
+        with pytest.raises(ValueError):
+            switch.switch_two(ch, ch, np.array([good, bad, good]), switch.control_qubit(0.5))
+    with pytest.raises(ValueError):
+        switch.switch_two(ch, ch, np.array([[good, good]]), switch.control_qubit(0.5))
 
 
 def test_post_select_probabilities_sum_to_one():
@@ -128,6 +143,9 @@ def test_post_select_rejects_degenerate_outcome():
     joint = switch.switch_two(ch, ch, rho, switch.control_qubit(1.0))
     with pytest.raises(switch.DegenerateOutcomeError):
         switch.post_select(joint, [0.0, 1.0])
+    stacked = switch.switch_two(ch, ch, np.array([rho, rho]), switch.control_qubit(1.0))
+    with pytest.raises(switch.DegenerateOutcomeError):
+        switch.post_select(stacked, [0.0, 1.0])
 
 
 def test_project_outcome_dimension_check():
@@ -140,17 +158,23 @@ def test_project_outcome_dimension_check():
 
 
 def test_closed_form_two_matches_brute_force_both_signs():
+    # both routes take the five inputs as one stack; each row of either is
+    # bit-identical to its own one-input call
     rng = np.random.default_rng(18)
-    for _ in range(5):
-        rho = _pure(rng)
-        for p in (0.0, 0.07, 0.21, 1 / 3):
-            ch = channels.isotropic_channel(p)
-            for q in (0.0, 0.35, 0.5, 0.92, 1.0):
-                joint = switch.switch_two(ch, ch, rho, switch.control_qubit(q))
-                for sign, outcome in (("+", [1, 1]), ("-", [1, -1])):
-                    brute = switch.project_outcome(joint, outcome)
-                    closed = switch.closed_form_two(p, q, sign, rho)
-                    assert np.max(np.abs(brute - closed)) < 1e-10
+    rhos = np.array([_pure(rng) for _ in range(5)])
+    for p in (0.0, 0.07, 0.21, 1 / 3):
+        ch = channels.isotropic_channel(p)
+        for q in (0.0, 0.35, 0.5, 0.92, 1.0):
+            joint = switch.switch_two(ch, ch, rhos, switch.control_qubit(q))
+            for sign, outcome in (("+", [1, 1]), ("-", [1, -1])):
+                brute = switch.project_outcome(joint, outcome)
+                closed = switch.closed_form_two(p, q, sign, rhos)
+                assert brute.shape == closed.shape == (5, 2, 2)
+                assert np.max(np.abs(brute - closed)) < 1e-10
+                for r, rho in enumerate(rhos):
+                    one = switch.switch_two(ch, ch, rho, switch.control_qubit(q))
+                    assert np.array_equal(brute[r], switch.project_outcome(one, outcome))
+                    assert np.array_equal(closed[r], switch.closed_form_two(p, q, sign, rho))
 
 
 def test_closed_form_two_matches_term_by_term_loop():
@@ -213,6 +237,27 @@ def test_switch_n_three_paths_trace_and_dimension_guards():
         switch.switch_n(ch, 5, rho, switch.uniform_control(3))
     with pytest.raises(ValueError):
         switch.switch_n(ch, 3, np.eye(3) / 3, switch.uniform_control(3))
+
+
+def test_switch_n_stack_rows_equal_one_input_calls():
+    # joints, projected states and probabilities of a stack, row by row, bit for bit
+    rng = np.random.default_rng(25)
+    rhos = np.array([_pure(rng) for _ in range(5)])
+    for n, p in ((2, 0.08), (3, 0.19), (4, 0.3)):
+        d = math.factorial(n)
+        control = switch.ControlState(switch.haar_random_state(d, rng))
+        outcome = switch.haar_random_state(d, rng)
+        ch = channels.isotropic_channel(p)
+        joint = switch.switch_n(ch, n, rhos, control)
+        sel = switch.post_select(joint, outcome)
+        assert joint.matrix.shape == (5, 2 * d, 2 * d)
+        assert sel.state.shape == (5, 2, 2) and sel.probability.shape == (5,)
+        for r, rho in enumerate(rhos):
+            one = switch.switch_n(ch, n, rho, control)
+            one_sel = switch.post_select(one, outcome)
+            assert np.array_equal(joint.matrix[r], one.matrix)
+            assert np.array_equal(sel.state[r], one_sel.state)
+            assert sel.probability[r] == one_sel.probability
 
 
 def test_brute_route_does_not_use_the_polynomial_route(monkeypatch):
