@@ -39,19 +39,19 @@ def tensor_product(a, b, *rest):
 
 
 def partial_trace(joint, dim_a, dim_b, keep):
-    """Trace out one tensor factor of a (dim_a*dim_b)-dimensional operator.
+    """Trace out one tensor factor of a (dim_a*dim_b)-dimensional operator, or of each in a stack.
 
     keep="A" returns the dim_a marginal, keep="B" the dim_b marginal.
     """
     j = np.asarray(joint, dtype=complex)
     d = dim_a * dim_b
-    if j.shape != (d, d):
+    if j.shape[-2:] != (d, d):
         raise ValueError(f"joint has shape {j.shape}, expected {(d, d)}")
-    t = j.reshape(dim_a, dim_b, dim_a, dim_b)
+    t = j.reshape(j.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
     if keep == "A":
-        return np.einsum("ikjk->ij", t)
+        return np.einsum("...ikjk->...ij", t)
     if keep == "B":
-        return np.einsum("kikj->ij", t)
+        return np.einsum("...kikj->...ij", t)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 

@@ -256,6 +256,7 @@ def test_switch_n_stack_rows_equal_one_input_calls():
             one = switch.switch_n(ch, n, rho, control)
             one_sel = switch.post_select(one, outcome)
             assert np.array_equal(joint.matrix[r], one.matrix)
+            assert np.array_equal(joint.system_marginal()[r], one.system_marginal())
             assert np.array_equal(sel.state[r], one_sel.state)
             assert sel.probability[r] == one_sel.probability
 
