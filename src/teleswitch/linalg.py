@@ -60,10 +60,10 @@ def assert_density_matrix(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
-    if not np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) < DENSITY_TOL:
+    if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max() < DENSITY_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = np.trace(rho, axis1=-2, axis2=-1).real
-    if np.any(abs(tr - 1.0) > DENSITY_TOL):
+    if abs(tr - 1.0).max() > DENSITY_TOL:
         raise ValueError(f"density matrix trace {tr.flat[np.argmax(abs(tr - 1.0))]} is not 1")
     w = np.linalg.eigvalsh(rho)
     if np.any(w < -DENSITY_TOL):

@@ -185,7 +185,7 @@ def post_select(joint, outcome):
     (R, 2, 2) stack gives R states and R probabilities, and fails if any row does."""
     sub = project_outcome(joint, outcome)
     probability = np.real(np.trace(sub, axis1=-2, axis2=-1))
-    low = np.min(probability)
+    low = probability.min()
     if low < DEGENERATE_PROB:
         raise DegenerateOutcomeError(f"outcome probability {low:.3e} below {DEGENERATE_PROB}")
     return PostSelectionResult(sub / probability[..., None, None], probability)
