@@ -121,13 +121,13 @@ def _versions():
 
 def test_cli_outputs_match_the_golden_corpus():
     golden = json.loads(GOLDEN.read_text())
-    got = run_corpus()
+    got, now = run_corpus(), _versions()
     changed = sorted(k for k in golden["commands"].keys() | got.keys()
                      if golden["commands"].get(k) != got.get(k))
     assert not changed, (
         f"CLI output differs from {GOLDEN.name} for {changed}; the corpus was recorded "
         f"with Python {golden['python']} and numpy {golden['numpy']}, this run has "
-        f"Python {_versions()['python']} and numpy {_versions()['numpy']}")
+        f"Python {now['python']} and numpy {now['numpy']}")
 
 
 if __name__ == "__main__":
