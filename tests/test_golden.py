@@ -19,6 +19,7 @@ import platform
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -98,10 +99,14 @@ def _run(argv):
 
 
 def run_corpus():
-    """The corpus entry of every command, each run in a fresh working directory."""
+    """The corpus entry of every command, each run in a fresh working directory.
+
+    argparse wraps its usage and help lines to the terminal width it reads from
+    COLUMNS, so the width is fixed here.
+    """
     cwd = os.getcwd()
     entries = {}
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         for i, argv in enumerate(COMMANDS):
             work = Path(tmp, str(i))
             work.mkdir()
