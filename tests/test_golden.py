@@ -6,7 +6,8 @@ purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names every changed entry in CHANGES.md. A hash is exact: a change in
+which prints each entry it added, removed or changed, and names every changed
+entry in CHANGES.md. A hash is exact: a change in
 summation order that moves one printed digit fails the test, and so may a
 different Python or numpy version (the file records the ones it was made with).
 """
@@ -60,6 +61,9 @@ COMMANDS = [
     ["three-path", "--alpha=-1,-1,-1"],
     ["three-path", "--lambda", "1"],
     ["fom-scan", "--q", "0", "--lambda", "0"],
+    # help screens
+    ["--help"],
+    *([name, "--help"] for name in cli.COMMANDS),
     # exit 3: an outcome that never fires
     ["fidelity-curves", "--q", "1", "--outcome", "1"],
     # exit 1: one input for each kind of usage error
@@ -80,6 +84,14 @@ COMMANDS = [
     ["fidelity-curves", "--out", "missing-dir/curves.csv"],
     ["fidelity-curves", "--config", "absent.json"],
     *(["fidelity-curves", "--config", name] for name in CONFIGS),
+    ["verify", "--config", "bool-seed.json"],
+    # a flag the command does not read
+    ["tradeoff", "--q", "0.3"],
+    ["coherence-scan", "--p-step", "0.1"],
+    ["verify", "--alpha=1,1,1"],
+    ["region-map", "--lambda", "2", "--out", "x.csv"],
+    ["fom-scan", "--p-step", "0.2"],
+    ["verify", "--format", "json"],
 ]
 
 
@@ -135,6 +147,23 @@ def test_cli_outputs_match_the_golden_corpus():
         f"Python {now['python']} and numpy {now['numpy']}")
 
 
+def _report(old, new):
+    """One line per entry added, removed or changed between two corpora, changes with their fields."""
+    for key in sorted(old.keys() | new.keys()):
+        command = f"teleswitch {key}".rstrip()
+        if key not in old:
+            yield f"added: {command}"
+        elif key not in new:
+            yield f"removed: {command}"
+        elif old[key] != new[key]:
+            fields = [f for f in new[key] if old[key].get(f) != new[key][f]]
+            yield f"changed: {command} ({', '.join(fields)})"
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({**_versions(), "commands": run_corpus()}, indent=1) + "\n")
+    old = json.loads(GOLDEN.read_text())["commands"] if GOLDEN.exists() else {}
+    new = run_corpus()
+    GOLDEN.write_text(json.dumps({**_versions(), "commands": new}, indent=1) + "\n")
+    for line in _report(old, new):
+        print(line)
     print(f"wrote {len(COMMANDS)} entries to {GOLDEN}", file=sys.stderr)
