@@ -33,10 +33,6 @@ DEFAULTS = {
     "outcome": "plus",
 }
 
-# every key a flag or config file sets; "lambda" and dashed spellings in a
-# config file are normalized first
-CONFIG_KEYS = (*DEFAULTS, "lam", "phi", "alpha", "out")
-
 # keys that must hold finite numbers; "lam" is set by --lambda
 FLOAT_KEYS = ("q", "p_min", "p_max", "p_step", "lam", "phi")
 
@@ -325,14 +321,19 @@ def cmd_verify(cfg):
     return 0 if all(r.passed for r in results) else 2
 
 
+# each subcommand's function and the config keys it reads: they are its only
+# flags besides --config and the only keys its config file may set, so a key
+# the command would ignore exits 1
 COMMANDS = {
-    "fidelity-curves": cmd_fidelity_curves,
-    "region-map": cmd_region_map,
-    "fom-scan": cmd_fom_scan,
-    "tradeoff": cmd_tradeoff,
-    "coherence-scan": cmd_coherence_scan,
-    "three-path": cmd_three_path,
-    "verify": cmd_verify,
+    "fidelity-curves": (cmd_fidelity_curves, ("q", "p_min", "p_max", "p_step", "lam", "phi",
+                                              "outcome", "out", "format")),
+    "region-map": (cmd_region_map, ("p_min", "p_max", "p_step", "out", "format")),
+    "fom-scan": (cmd_fom_scan, ("q", "lam", "phi", "out", "format")),
+    "tradeoff": (cmd_tradeoff, ("out", "format")),
+    "coherence-scan": (cmd_coherence_scan, ("out", "format")),
+    "three-path": (cmd_three_path, ("p_min", "p_max", "p_step", "lam", "phi", "alpha",
+                                    "out", "format")),
+    "verify": (cmd_verify, ("seed", "out")),
 }
 
 
@@ -346,38 +347,44 @@ def _alpha_tuple(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# the flag of each config key and of --config: its name and add_argument keywords
+_FLAGS = {
+    "q": ("--q", {"type": float, "help": "control weight q in [0, 1]"}),
+    "p_min": ("--p-min", {"type": float}),
+    "p_max": ("--p-max", {"type": float}),
+    "p_step": ("--p-step", {"type": float}),
+    "lam": ("--lambda", {"type": float, "help": "outcome family weight (>= 0)"}),
+    "phi": ("--phi", {"type": float, "help": "outcome family phase"}),
+    "alpha": ("--alpha", {"type": _alpha_tuple,
+                          "help": "three-path odd-permutation coefficients a1,a2,a3"}),
+    "outcome": ("--outcome", {"choices": CHOICES["outcome"]}),
+    "seed": ("--seed", {"type": int}),
+    "out": ("--out", {"help": "output file path"}),
+    "format": ("--format", {"choices": CHOICES["format"]}),
+    "config": ("--config", {"help": "JSON file of defaults, overridden by flags"}),
+}
+
+
 @functools.cache
 def build_parser():
     """The teleswitch parser, built on first use and shared by every later main call."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=float, default=None, help="control weight q in [0, 1]")
-    common.add_argument("--p-min", dest="p_min", type=float, default=None)
-    common.add_argument("--p-max", dest="p_max", type=float, default=None)
-    common.add_argument("--p-step", dest="p_step", type=float, default=None)
-    common.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="outcome family weight (>= 0)")
-    common.add_argument("--phi", type=float, default=None, help="outcome family phase")
-    common.add_argument("--alpha", type=_alpha_tuple, default=None,
-                        help="three-path odd-permutation coefficients a1,a2,a3")
-    common.add_argument("--outcome", choices=CHOICES["outcome"], default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", type=str, default=None, help="output file path")
-    common.add_argument("--format", choices=CHOICES["format"], default=None)
-    common.add_argument("--config", type=str, default=None,
-                        help="JSON file of defaults, overridden by flags")
     parser = _Parser(
         prog="teleswitch",
         description="Teleportation fidelity data for Pauli channels in a quantum switch.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub.add_parser(name, help=f"{name} data", parents=[common])
+    for name, (_, keys) in COMMANDS.items():
+        command = sub.add_parser(name, help=f"{name} data")
+        for key in (*keys, "config"):
+            flag, options = _FLAGS[key]
+            command.add_argument(flag, dest=key, **options)
     return parser
 
 
 def resolve_config(args):
-    """Merge precedence: command-line flags > config file > built-in defaults."""
-    cfg = dict(DEFAULTS)
+    """The command's config keys, each from its flag, else the config file, else DEFAULTS."""
+    keys = COMMANDS[args.command][1]
+    cfg = {key: DEFAULTS.get(key) for key in keys}
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -388,23 +395,25 @@ def resolve_config(args):
         for key, value in loaded.items():
             name = key.replace("-", "_")
             name = "lam" if name == "lambda" else name
-            if name not in CONFIG_KEYS:
+            if name not in keys:
                 raise UsageError(f"unknown config key {key!r}")
             cfg[name] = value
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
+    for key in keys:
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
     for key in FLOAT_KEYS:
         if cfg.get(key) is not None and not _finite_number(cfg[key]):
             name = "lambda" if key == "lam" else key
             raise UsageError(f"{name} must be a finite number, got {cfg[key]!r}")
-    if isinstance(cfg["seed"], bool) or not isinstance(cfg["seed"], int):
-        raise UsageError(f"seed must be an integer, got {cfg['seed']!r}")
-    if cfg["seed"] < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {cfg['seed']}")
+    if "seed" in cfg:
+        seed = cfg["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise UsageError(f"seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise UsageError(f"seed must be a non-negative integer, got {seed}")
     for key, allowed in CHOICES.items():
-        if cfg[key] not in allowed:
+        if key in cfg and cfg[key] not in allowed:
             raise UsageError(f"{key} must be one of {', '.join(allowed)}, got {cfg[key]!r}")
     if cfg.get("out") is not None and not isinstance(cfg["out"], str):
         raise UsageError(f"out must be a path string, got {cfg['out']!r}")
@@ -425,7 +434,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
-        code = COMMANDS[args.command](cfg)
+        code = COMMANDS[args.command][0](cfg)
         return 0 if code is None else code
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0

@@ -590,12 +590,23 @@ def test_json_format_does_not_carry_over_to_the_next_call(capsys):
     assert capsys.readouterr().out.startswith("lambda,phi,K\r\n")
 
 
-COMMON_OPTIONS = ["--q", "--p-min", "--p-max", "--p-step", "--lambda", "--phi", "--alpha",
-                  "--outcome", "--seed", "--out", "--format", "--config"]
+# each command's flags, in help-screen order
+COMMAND_OPTIONS = {
+    "fidelity-curves": ["--q", "--p-min", "--p-max", "--p-step", "--lambda", "--phi",
+                        "--outcome", "--out", "--format", "--config"],
+    "region-map": ["--p-min", "--p-max", "--p-step", "--out", "--format", "--config"],
+    "fom-scan": ["--q", "--lambda", "--phi", "--out", "--format", "--config"],
+    "tradeoff": ["--out", "--format", "--config"],
+    "coherence-scan": ["--out", "--format", "--config"],
+    "three-path": ["--p-min", "--p-max", "--p-step", "--lambda", "--phi", "--alpha",
+                   "--out", "--format", "--config"],
+    "verify": ["--seed", "--out", "--config"],
+}
 
 
-def test_help_screens_repeat_and_share_the_common_options(capsys):
-    for argv in [["--help"], *([name, "--help"] for name in cli.COMMANDS)]:
+def test_help_screens_repeat_and_list_each_commands_own_options(capsys):
+    assert list(cli.COMMANDS) == list(COMMAND_OPTIONS)
+    for argv in [["--help"], *([name, "--help"] for name in COMMAND_OPTIONS)]:
         screens = []
         for _ in range(2):
             assert run_cli(argv) == 0
@@ -603,4 +614,33 @@ def test_help_screens_repeat_and_share_the_common_options(capsys):
         assert screens[0] == screens[1], argv
         if len(argv) == 2:
             assert screens[0].startswith(f"usage: teleswitch {argv[0]} [-h]")
-            assert re.findall(r"^  (--[\w-]+)", screens[0], re.M) == COMMON_OPTIONS
+            assert re.findall(r"^  (--[\w-]+)", screens[0], re.M) == COMMAND_OPTIONS[argv[0]]
+
+
+# per command, a flag it does not read and a config key it does not read
+IGNORED = {
+    "fidelity-curves": (["--seed", "1"], {"alpha": [1, 1, 1]}),
+    "region-map": (["--lambda", "2"], {"q": 0.3}),
+    "fom-scan": (["--p-step", "0.2"], {"outcome": "minus"}),
+    "tradeoff": (["--q", "0.3"], {"p-step": 0.1}),
+    "coherence-scan": (["--p-step", "0.1"], {"lambda": 1}),
+    "three-path": (["--outcome", "plus"], {"seed": 1}),
+    "verify": (["--format", "json"], {"alpha": [1, 1, 1]}),
+}
+
+
+@pytest.mark.parametrize("command, kind", [(c, k) for c in IGNORED for k in ("flag", "key")])
+def test_a_flag_or_config_key_the_command_does_not_read_exits_one(command, kind, tmp_path,
+                                                                   capsys):
+    flag, payload = IGNORED[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    out = tmp_path / "out.csv"
+    extra = flag if kind == "flag" else ["--config", str(cfg)]
+    assert run_cli([command, *extra, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = (f"unrecognized arguments: {' '.join(flag)}" if kind == "flag"
+                else f"unknown config key {next(iter(payload))!r}")
+    assert captured.err.endswith(f"teleswitch: error: {expected}\n")
+    assert list(tmp_path.iterdir()) == [cfg]
