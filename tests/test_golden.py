@@ -6,10 +6,10 @@ purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints each entry it added, removed or changed, and names every changed
-entry in CHANGES.md. A hash is exact: a change in
-summation order that moves one printed digit fails the test, and so may a
-different Python or numpy version (the file records the ones it was made with).
+and names every changed entry in CHANGES.md; the script prints each entry it
+added, removed or changed. A hash is exact: a change in summation order that
+moves one printed digit fails the test, and so may a different Python or numpy
+version (the file records the ones it was made with).
 """
 import contextlib
 import hashlib
@@ -161,7 +161,7 @@ def _report(old, new):
 
 
 if __name__ == "__main__":
-    old = json.loads(GOLDEN.read_text())["commands"] if GOLDEN.exists() else {}
+    old = json.loads(GOLDEN.read_text())["commands"]
     new = run_corpus()
     GOLDEN.write_text(json.dumps({**_versions(), "commands": new}, indent=1) + "\n")
     for line in _report(old, new):
