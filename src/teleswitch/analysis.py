@@ -16,8 +16,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .channels import P_MAX, no_switch_fidelity, no_switch_threshold
-from .linalg import STATE_NORM_TOL, normalize_state
+from .channels import _check_p, _check_q, no_switch_fidelity, no_switch_threshold
+from .linalg import (DEGREE_DROP, IDENTITY_TOL, LHOPITAL_ZERO, MERIT_TIE, RANGE_SLACK, SILENT_PROB,
+                     ZERO_DEN, normalize_state)
 from .switch import (
     ControlState,
     DegenerateOutcomeError,
@@ -28,17 +29,6 @@ from .switch import (
 )
 
 CLASSICAL_THRESHOLD = 2 / 3
-
-# |den(p)| at or below this fraction of den's largest coefficient is a 0/0
-# point, for every fidelity curve
-_ZERO_DEN = 1e-11
-
-# an outcome whose probability polynomial has no coefficient above this never fires
-_SILENT_PROB = 1e-13
-
-# num - (2/3) den whose leading coefficient is below this fraction of its
-# largest one has dropped a degree; its roots come from the trimmed polynomial
-_DEGREE_DROP = 1e-12
 
 # nodes of the Gauss-Legendre rule applied to every smooth piece of the merit
 # integrand; the rule is built on first use
@@ -61,10 +51,8 @@ class SwitchParams:
     q: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= P_MAX:
-            raise ValueError(f"p={self.p} outside [0, 1/3]")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q={self.q} outside [0, 1]")
+        _check_p(self.p)
+        _check_q(self.q)
 
     @property
     def mu(self):
@@ -83,7 +71,7 @@ class AdvantageRegions:
 
     @property
     def region2_exists(self):
-        return self.p_hi < 1 / 3 - 1e-12
+        return self.p_hi < 1 / 3 - RANGE_SLACK
 
     @property
     def region1(self):
@@ -107,7 +95,7 @@ def switched_fidelity(params):
 
 def advantage_regions(mu):
     """Roots of (1+2mu)/3 - 4(1+2mu)p + 8(1+3mu)p^2 = 0 bounding the regions."""
-    if not 0.0 <= mu <= 0.5 + 1e-12:
+    if not 0.0 <= mu <= 0.5 + RANGE_SLACK:
         raise ValueError(f"mu={mu} outside [0, 1/2]")
     a = 8 * (1 + 3 * mu)
     b = -4 * (1 + 2 * mu)
@@ -143,11 +131,7 @@ class _OutcomeFamily:
         if np.any(lams < 0):
             raise ValueError("lambda must be >= 0")
         weight = (lams * np.exp(1j * np.asarray(phis, dtype=float))).reshape(-1, 1)
-        kets = np.where(cls._coeffs == 0, 1.0, cls._coeffs * weight)
-        # a norm that overflows is inf and leaves a zero row, which _rows refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.linalg.norm(kets, axis=1, keepdims=True)
-        return kets / norms
+        return normalize_state(np.where(cls._coeffs == 0, 1.0, cls._coeffs * weight))
 
     def vector(self):
         return self.grid([self.lam], [self.phi])[0]
@@ -199,7 +183,7 @@ class AlphaOutcome:
 
 def _ratio_polynomials(w):
     """(num, den) from weights w[..., k, :], checking the nonidentity weights agree."""
-    if not np.allclose(w[..., 2:, :], w[..., 1:2, :], atol=1e-12):
+    if not np.allclose(w[..., 2:, :], w[..., 1:2, :], atol=IDENTITY_TOL):
         raise InvariantError("nonidentity weights differ; input independence lost")
     return w[..., 0, :] + w[..., 1, :], w.sum(axis=-2)
 
@@ -218,11 +202,11 @@ def fidelity_polynomials(control, outcome, n=None):
 
 def _lhopital(num, den, p):
     n_, d_ = np.array(num), np.array(den)
-    scale = max(np.max(np.abs(d_)), 1e-300)
+    scale = np.max(np.abs(d_))
     for _ in range(len(den)):
         n_, d_ = P.polyder(n_), P.polyder(d_)
         dv = P.polyval(p, d_)
-        if abs(dv) > 1e-9 * scale:
+        if abs(dv) > LHOPITAL_ZERO * scale:
             return float(P.polyval(p, n_) / dv)
     raise DegenerateOutcomeError(f"outcome probability vanishes identically near p={p}")
 
@@ -230,14 +214,14 @@ def _lhopital(num, den, p):
 def _ratio(num, den, ps):
     """(F, 0/0 mask) of num/den for each row of (G, deg + 1) stacks at the p values ps.
 
-    The mask is relative to each row's den (see _ZERO_DEN), so an outcome that
+    The mask is relative to each row's den (see ZERO_DEN), so an outcome that
     fires rarely still gets its ratio; masked points take the L'Hopital limit.
     The p axis is evaluated _BLOCK_POINTS values at a time.
     """
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
     out = np.empty((len(num), len(ps)))
     zero = np.empty(out.shape, dtype=bool)
-    tol = _ZERO_DEN * np.max(np.abs(den), axis=1, keepdims=True)
+    tol = ZERO_DEN * np.max(np.abs(den), axis=1, keepdims=True)
     for start in range(0, len(ps), _BLOCK_POINTS):
         block = slice(start, start + _BLOCK_POINTS)
         dv = P.polyval(ps[block], den.T)
@@ -260,18 +244,11 @@ def _rows(controls, outcomes, n):
         raise ValueError("the control stack is empty")
     # a stack of mixed dimensions fails here, as an inhomogeneous array
     amps = np.array([c.amplitudes for c in controls])
-    amps, outcomes = np.broadcast_arrays(amps, np.atleast_2d(np.asarray(outcomes, complex)))
+    amps, outcomes = np.broadcast_arrays(amps, normalize_state(np.atleast_2d(outcomes)))
     n = controls[0].paths if n is None else n
     if amps.ndim != 2 or amps.shape[1] != math.factorial(n):
         raise ValueError("outcomes must be a (d,) vector or a (G, d) stack with d = n!")
-    # normalize_state's norm, row by row, so curves match fidelity_polynomials bit for bit
-    re, im = outcomes.real, outcomes.imag
-    # a norm that overflows is inf and is refused below, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(re[:, None] @ re[..., None] + im[:, None] @ im[..., None])[:, 0]
-    if not np.all(np.isfinite(norms) & (norms >= STATE_NORM_TOL)):
-        raise ValueError("outcomes must be finite and nonzero")
-    return amps, outcomes / norms, n
+    return amps, outcomes, n
 
 
 def curve_grid(controls, outcomes, ps, n=None):
@@ -304,7 +281,7 @@ def _root_real_parts(g):
     """
     rows, deg = g.shape[0], g.shape[1] - 1
     out = np.zeros((rows, deg))
-    big = np.abs(g) > _DEGREE_DROP * np.max(np.abs(g), axis=1, keepdims=True)
+    big = np.abs(g) > DEGREE_DROP * np.max(np.abs(g), axis=1, keepdims=True)
     full = big[:, -1]
     if full.any():
         companion = np.zeros((int(full.sum()), deg, deg))
@@ -323,7 +300,7 @@ def _root_real_parts(g):
 def _merit_block(amps, outcomes, n):
     """K for a block of (control amplitudes, normalized outcome) rows."""
     num, den = _ratio_polynomials(post_selected_weight_stack(amps * outcomes.conj(), n))
-    silent = np.max(np.abs(den), axis=1) < _SILENT_PROB
+    silent = np.max(np.abs(den), axis=1) < SILENT_PROB
     if silent.any():
         if amps.shape[1] != 2:
             raise DegenerateOutcomeError(
@@ -412,7 +389,7 @@ def optimize_outcome(control, family, lambdas, phis):
     merits = merit_grid(control, family.grid(lambdas, phis)).tolist()
     best = 0
     for i, k in enumerate(merits):
-        if k > merits[best] + 1e-15:
+        if k > merits[best] + MERIT_TIE:
             best = i
     return (lambdas[best // len(phis)], phis[best % len(phis)]), merits[best]
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import assert_density_matrix, normalize_state, projector, tensor_product
+from .linalg import (DET_CLAMP, FIDELITY_OVERSHOOT, RANGE_SLACK, WEIGHT_SUM_TOL,
+                     assert_density_matrix, normalize_state, projector, tensor_product)
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -17,15 +18,22 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-WEIGHT_SUM_TOL = 1e-9
+# largest noise weight p accepted as inside [0, 1/3]
+P_MAX = 1 / 3 + RANGE_SLACK
 
-# largest noise weight p accepted as inside [0, 1/3]; the slack admits a 1/3
-# that carries rounding error
-P_MAX = 1 / 3 + 1e-12
 
-# |det| below this is float noise around an exact zero (pure states); the
-# sqrt term is non-differentiable there, so tiny values carry no information
-DET_CLAMP = 1e-14
+def _check_p(p):
+    """p, a noise weight or an array of them, if each lies in [0, 1/3]: the one check of p."""
+    if not np.all((np.asarray(p) >= 0.0) & (np.asarray(p) <= P_MAX)):
+        raise ValueError(f"p={p} outside [0, 1/3]")
+    return p
+
+
+def _check_q(q):
+    """q if it is a control weight in [0, 1]: the one check of q."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q={q} outside [0, 1]")
+    return q
 
 
 @dataclass(frozen=True)
@@ -39,7 +47,7 @@ class PauliWeights:
 
     def __post_init__(self):
         ps = self.as_array()
-        if np.any(ps < -1e-12) or np.any(ps > 1 + 1e-12):
+        if np.any(ps < -RANGE_SLACK) or np.any(ps > 1 + RANGE_SLACK):
             raise ValueError(f"weights outside [0,1]: {ps}")
         if abs(ps.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {ps.sum()}, not 1")
@@ -62,9 +70,7 @@ class DepolarizingChannel:
 
 def isotropic_weights(p):
     """Weights (1-3p, p, p, p) for p in [0, 1/3]."""
-    if not 0.0 <= p <= P_MAX:
-        raise ValueError(f"p={p} outside [0, 1/3]")
-    p = min(p, 1 / 3)
+    p = min(_check_p(p), 1 / 3)
     return PauliWeights(1 - 3 * p, p, p, p)
 
 
@@ -90,10 +96,7 @@ def weights_from_resource(chi):
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (4, 4):
         raise ValueError(f"resource state must be 4x4, got {chi.shape}")
-    overlaps = [float(np.real(b.conj() @ chi @ b)) for b in bell_basis()]
-    if abs(sum(overlaps) - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"overlaps sum to {sum(overlaps)}; resource state not normalized")
-    return PauliWeights(*overlaps)
+    return PauliWeights(*(float(np.real(b.conj() @ chi @ b)) for b in bell_basis()))
 
 
 def werner_state(x):
@@ -133,7 +136,7 @@ def qubit_fidelity(rho, sigma):
     f = float(np.real(np.trace(rho @ sigma))) + 2 * np.sqrt(
         _clamped_det(rho) * _clamped_det(sigma)
     )
-    return float(min(max(f, 0.0), 1.0 + 1e-10))
+    return float(min(max(f, 0.0), 1.0 + FIDELITY_OVERSHOOT))
 
 
 def no_switch_fidelity(p, n):
@@ -143,9 +146,7 @@ def no_switch_fidelity(p, n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-15) or np.any(p > P_MAX):
-        raise ValueError(f"p outside [0, 1/3]")
+    p = _check_p(np.asarray(p, dtype=float))
     out = 0.5 + 0.5 * (1 - 4 * p) ** n
     return float(out) if out.ndim == 0 else out
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, channels, switch, verification
+from . import analysis, channels, linalg, switch, verification
 
 DEFAULTS = {
     "q": 0.5,
@@ -189,7 +189,7 @@ def _p_grid(cfg):
     if points > MAX_P_POINTS:
         raise UsageError(f"p grid of {points:.3g} points exceeds the cap of {MAX_P_POINTS}")
     grid = np.arange(p_min, p_max + p_step / 2, p_step)
-    if grid.size == 0 or grid[-1] < p_max - 1e-12:
+    if grid.size == 0 or grid[-1] < p_max - linalg.RANGE_SLACK:
         grid = np.append(grid, p_max)
     # + 0.0 turns the -0.0 of --p-min -0 into 0.0 and leaves every other p alone
     return np.minimum(grid, 1 / 3) + 0.0
@@ -213,11 +213,10 @@ def _outcome_vector(cfg):
 
 def cmd_fidelity_curves(cfg):
     q = cfg["q"]
-    if not 0.0 <= q <= 1.0:
-        raise UsageError(f"q={q} outside [0, 1]")
+    control = switch.control_qubit(q)
     outcome, label = _outcome_vector(cfg)
     ps = _p_grid(cfg)
-    fs = analysis.fidelity_profile(switch.control_qubit(q), outcome, ps, 2)
+    fs = analysis.fidelity_profile(control, outcome, ps, 2)
     f1, f2 = channels.no_switch_fidelity(ps, 1), channels.no_switch_fidelity(ps, 2)
     values = [ps, f1, f2, fs, np.full(len(ps), 2 / 3)]
     names = ["p", "F1", "F2", f"F_switch_{label}", "classical_threshold"]

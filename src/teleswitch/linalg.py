@@ -9,22 +9,36 @@ import math
 
 import numpy as np
 
-# tolerance of assert_density_matrix on Hermiticity, trace and negative eigenvalues
-DENSITY_TOL = 1e-10
-STATE_NORM_TOL = 1e-12
+# Numerical floors, the package's only small constants, each named by what it bounds
+DENSITY_TOL = 1e-10         # a density matrix's Hermiticity, trace and negative eigenvalues
+FIDELITY_OVERSHOOT = 1e-10  # how far above 1 qubit_fidelity reports F before clipping it
+STATE_NORM_TOL = 1e-12      # a state vector with a smaller norm is zero
+WEIGHT_SUM_TOL = 1e-9       # a channel's Pauli weights sum to 1
+RANGE_SLACK = 1e-12         # a p, mu, Pauli weight or p-grid end this far past its range's end
+DET_CLAMP = 1e-14           # |det| of a qubit state at an exact zero (a pure state)
+IDENTITY_TOL = 1e-12        # an exact identity of the polynomial route, up to rounding
+DEGREE_DROP = 1e-12         # a leading coefficient, relative to the largest: the degree dropped
+LHOPITAL_ZERO = 1e-9        # a derivative of den, relative to den's largest coefficient, is 0
+MERIT_TIE = 1e-15           # a merit within this of the best ties with it
+# an outcome that never fires, judged on three different quantities
+DEGENERATE_PROB = 1e-12     # its probability at one point
+SILENT_PROB = 1e-13         # the largest coefficient of its probability polynomial
+ZERO_DEN = 1e-11            # |den(p)| relative to den's largest coefficient: a 0/0 point
 
 
+# a norm that overflows comes out inf and is refused below, without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def normalize_state(amplitudes):
-    """Return a unit-norm complex state vector."""
-    v = np.asarray(amplitudes, dtype=complex).ravel()
-    # a norm that overflows comes out inf and is refused below, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        n = np.linalg.norm(v)
-    if n < STATE_NORM_TOL:
-        raise ValueError("cannot normalize a (near-)zero vector")
-    if not math.isfinite(n):
+    """Unit-norm complex states: each row of a (..., d) stack, normed along its last axis
+    with np.linalg.norm's dot products, so a row equals its own one-vector call bit for bit."""
+    v = np.asarray(amplitudes, dtype=complex)
+    re, im = v.real, v.imag
+    norms = np.sqrt(re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None])[..., 0]
+    if not ((norms >= STATE_NORM_TOL) & (norms < math.inf)).all():
+        if np.isfinite(norms).all():
+            raise ValueError("cannot normalize a (near-)zero vector")
         raise ValueError("cannot normalize a vector whose norm is not finite")
-    return v / n
+    return v / norms
 
 
 def tensor_product(a, b, *rest):

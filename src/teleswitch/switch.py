@@ -31,10 +31,9 @@ from itertools import product
 
 import numpy as np
 
-from .channels import P_MAX, PAULI
-from .linalg import assert_density_matrix, normalize_state, partial_trace
-
-DEGENERATE_PROB = 1e-12
+from .channels import PAULI, _check_p, _check_q
+from .linalg import (DEGENERATE_PROB, IDENTITY_TOL, assert_density_matrix, normalize_state,
+                     partial_trace)
 
 SUPPORTED_PATHS = (2, 3, 4)
 
@@ -93,8 +92,7 @@ class ControlState:
 
 def control_qubit(q):
     """sqrt(q)|0> + sqrt(1-q)|1>."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q={q} outside [0, 1]")
+    _check_q(q)
     return ControlState(np.array([math.sqrt(q), math.sqrt(1 - q)], dtype=complex))
 
 
@@ -206,10 +204,8 @@ def closed_form_two(p, q, sign, rho):
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    if not 0.0 <= p <= P_MAX:
-        raise ValueError(f"p={p} outside [0, 1/3]")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q={q} outside [0, 1]")
+    _check_p(p)
+    _check_q(q)
     rho = np.asarray(rho, dtype=complex)[..., None, None, :, :]
     s = 1.0 if sign == "+" else -1.0
     mu = math.sqrt(q * (1 - q))
@@ -326,7 +322,7 @@ def post_selected_weight_stack(gamma, n):
     gamma = np.asarray(gamma, dtype=complex)
     fold = _folded_counts(n)
     outer = (gamma[:, :, None] * gamma.conj()[:, None, :]).reshape(len(gamma), 1, -1)
-    if not np.all(np.abs(outer.imag @ fold) <= 1e-12):
+    if not np.all(np.abs(outer.imag @ fold) <= IDENTITY_TOL):
         raise InvariantError("post-selected weights must be real")
     return (outer.real @ fold).reshape(len(gamma), 4, n + 1)
 
