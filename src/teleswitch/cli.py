@@ -72,6 +72,13 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    # a subcommand reports an argument it does not take, under a usage line of the ones it does
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
     # argparse drops an OSError from writing help, so a lost help text would
     # exit 0; help to stdout goes through _output and exits 1 instead
     def print_help(self, file=None):
@@ -198,11 +205,7 @@ def _p_grid(cfg):
 def _outcome_vector(cfg):
     label = cfg["outcome"]
     if label == "custom":
-        lam = cfg.get("lam")
-        phi = cfg.get("phi")
-        if lam is None or phi is None:
-            raise UsageError("outcome 'custom' needs --lambda and --phi")
-        return analysis.OutcomeFamily2(lam, phi).vector(), "custom"
+        return analysis.OutcomeFamily2(cfg["lam"], cfg["phi"]).vector(), label
     return OUTCOME_VECTORS[label], label
 
 
@@ -212,15 +215,14 @@ def _outcome_vector(cfg):
 
 
 def cmd_fidelity_curves(cfg):
-    q = cfg["q"]
-    control = switch.control_qubit(q)
+    control = switch.control_qubit(cfg["q"])
     outcome, label = _outcome_vector(cfg)
     ps = _p_grid(cfg)
     fs = analysis.fidelity_profile(control, outcome, ps, 2)
     f1, f2 = channels.no_switch_fidelity(ps, 1), channels.no_switch_fidelity(ps, 2)
     values = [ps, f1, f2, fs, np.full(len(ps), 2 / 3)]
     names = ["p", "F1", "F2", f"F_switch_{label}", "classical_threshold"]
-    _emit_tables(cfg, "fidelity-curves", {"q": q, "outcome": label}, [("", names, values)])
+    _emit_tables(cfg, "fidelity-curves", {"q": cfg["q"], "outcome": label}, [("", names, values)])
 
 
 def cmd_region_map(cfg):
@@ -383,7 +385,7 @@ def build_parser():
 def resolve_config(args):
     """The command's config keys, each from its flag, else the config file, else DEFAULTS."""
     keys = COMMANDS[args.command][1]
-    cfg = {key: DEFAULTS.get(key) for key in keys}
+    given = {}  # the keys a flag or the config file sets
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -392,17 +394,16 @@ def resolve_config(args):
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
         for key, value in loaded.items():
-            name = key.replace("-", "_")
-            name = "lam" if name == "lambda" else name
+            name = {"lambda": "lam"}.get(key, key.replace("-", "_"))
             if name not in keys:
                 raise UsageError(f"unknown config key {key!r}")
-            cfg[name] = value
-    for key in keys:
-        value = getattr(args, key)
-        if value is not None:
-            cfg[key] = value
+            given[name] = value
+    given.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
+    cfg = {**{key: DEFAULTS.get(key) for key in keys}, **given}
     for key in FLOAT_KEYS:
-        if cfg.get(key) is not None and not _finite_number(cfg[key]):
+        # null leaves a key unset only where it has no default
+        if key in cfg and not _finite_number(cfg[key]) and (
+                cfg[key] is not None or key in DEFAULTS):
             name = "lambda" if key == "lam" else key
             raise UsageError(f"{name} must be a finite number, got {cfg[key]!r}")
     if "seed" in cfg:
@@ -420,6 +421,17 @@ def resolve_config(args):
     if alpha is not None and not (isinstance(alpha, (list, tuple)) and len(alpha) == 3
                                   and all(map(_finite_number, alpha))):
         raise UsageError(f"alpha must be three finite numbers, got {alpha!r}")
+    # two modes leave keys of their command unread
+    mode, unread = None, ()
+    if args.command == "three-path" and (cfg["lam"] is not None or cfg["phi"] is not None):
+        mode, unread = "the phase scan of --lambda/--phi", ("alpha", "p_min", "p_max", "p_step")
+    elif args.command == "fidelity-curves" and cfg["outcome"] != "custom":
+        mode, unread = f"--outcome {cfg['outcome']}", ("lam", "phi")
+    elif args.command == "fidelity-curves" and (cfg["lam"] is None or cfg["phi"] is None):
+        raise UsageError("outcome 'custom' needs --lambda and --phi")
+    unread = [_FLAGS[key][0] for key in unread if given.get(key) is not None]
+    if unread:
+        raise UsageError(f"{mode} does not read {', '.join(unread)}")
     return cfg
 
 

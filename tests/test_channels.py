@@ -37,8 +37,20 @@ def test_isotropic_weights_domain():
     )
     for check in checks:
         check(1 / 3 + 5e-13)
-        with pytest.raises(ValueError):
-            check(1 / 3 + 1e-11)
+        for p in (1 / 3 + 1e-11, -1e-300, np.nan):
+            with pytest.raises(ValueError):
+                check(p)
+    # every q-domain check is [0, 1] with no slack
+    q_checks = (
+        switch.control_qubit,
+        lambda q: analysis.SwitchParams(0.1, q),
+        lambda q: switch.closed_form_two(0.1, q, "+", np.eye(2) / 2),
+    )
+    for check in q_checks:
+        check(0.0), check(1.0)
+        for q in (1 + 1e-15, -1e-300, np.nan):
+            with pytest.raises(ValueError, match=r"q=.* outside \[0, 1\]"):
+                check(q)
 
 
 def test_bell_basis_orthonormal_and_singlet_first():

@@ -435,7 +435,10 @@ def test_config_file_errors(tmp_path, capsys):
                              ("fidelity-curves", {"q": True}),
                              ("fidelity-curves", {"p_step": True}),
                              ("fom-scan", {"lambda": True, "phi": 0}),
-                             ("three-path", {"alpha": [1, False, 1]})):
+                             ("three-path", {"alpha": [1, False, 1]}),
+                             # null for a key that has a default
+                             ("fom-scan", {"q": None, "lambda": 1, "phi": 1}),
+                             ("region-map", {"p_step": None})):
         typed = tmp_path / "typed.json"
         typed.write_text(json.dumps(payload))
         assert run_cli([command, "--config", str(typed)]) == 1
@@ -640,7 +643,38 @@ def test_a_flag_or_config_key_the_command_does_not_read_exits_one(command, kind,
     assert run_cli([command, *extra, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    expected = (f"unrecognized arguments: {' '.join(flag)}" if kind == "flag"
-                else f"unknown config key {next(iter(payload))!r}")
-    assert captured.err.endswith(f"teleswitch: error: {expected}\n")
+    if kind == "flag":
+        # the command's own parser reports it, under a usage line of the flags it does take
+        assert captured.err.startswith(f"usage: teleswitch {command} [-h]")
+        assert captured.err.endswith(
+            f"teleswitch {command}: error: unrecognized arguments: {' '.join(flag)}\n")
+    else:
+        assert captured.err == f"teleswitch: error: unknown config key {next(iter(payload))!r}\n"
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv, config, clash", [
+    (["three-path", "--lambda", "1", "--alpha=1,1,1", "--p-step", "0.2"], {},
+     "the phase scan of --lambda/--phi does not read --alpha, --p-step"),
+    (["three-path", "--phi", "0.5", "--p-max", "0.2"], {},
+     "the phase scan of --lambda/--phi does not read --p-max"),
+    (["three-path", "--lambda", "1"], {"p_min": 0.1}, "the phase scan of --lambda/--phi does not read --p-min"),
+    (["fidelity-curves", "--lambda", "0.7", "--phi", "2"], {},
+     "--outcome plus does not read --lambda, --phi"),
+    (["fidelity-curves", "--outcome", "minus"], {"phi": 1}, "--outcome minus does not read --phi"),
+])
+def test_a_flag_the_mode_of_the_command_does_not_read_exits_one(argv, config, clash, tmp_path,
+                                                                capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli([*argv, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"teleswitch: error: {clash}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_null_for_a_key_without_a_default_leaves_it_unset(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": None, "p_step": 0.2}))
+    assert run_cli(["three-path", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+    cfg.write_text(json.dumps({"alpha": None, "lambda": 1, "phi": 0}))
+    assert run_cli(["three-path", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 0

@@ -36,6 +36,7 @@ CONFIGS = {
     "paths.json": '{"paths": 3.0}',
     "bool-seed.json": '{"seed": true}',
     "bool-q.json": '{"q": true}',
+    "null-q.json": '{"q": null}',
 }
 
 COMMANDS = [
@@ -92,6 +93,10 @@ COMMANDS = [
     ["region-map", "--lambda", "2", "--out", "x.csv"],
     ["fom-scan", "--p-step", "0.2"],
     ["verify", "--format", "json"],
+    # a flag the command's mode does not read
+    ["three-path", "--lambda", "1", "--alpha=1,1,1", "--p-step", "0.2"],
+    ["three-path", "--phi", "0.5", "--p-max", "0.2"],
+    ["fidelity-curves", "--lambda", "0.7", "--phi", "2"],
 ]
 
 

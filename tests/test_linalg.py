@@ -22,6 +22,27 @@ def test_normalize_state_refuses_a_non_finite_norm(amplitudes):
         linalg.normalize_state(amplitudes)
 
 
+@pytest.mark.parametrize("d", [2, 6, 24])
+def test_normalize_state_rows_of_a_stack_equal_one_vector_calls(d):
+    rng = np.random.default_rng(d)
+    stack = _random_complex(rng, (300, d)) * 10.0 ** rng.uniform(-6, 6, (300, 1))
+    rows = linalg.normalize_state(stack)
+    assert rows.shape == stack.shape
+    for row, v in zip(rows, stack):
+        # bit for bit, and with the norm np.linalg.norm gives one vector
+        assert np.array_equal(row, linalg.normalize_state(v))
+        assert np.array_equal(row, v / np.linalg.norm(v))
+    assert np.array_equal(linalg.normalize_state(stack.reshape(3, 100, d)), rows.reshape(3, 100, d))
+
+
+@pytest.mark.parametrize("bad, match", [(0.0, "zero"), (np.inf, "not finite"), (1e200, "not finite")])
+def test_normalize_state_refuses_a_zero_or_non_finite_row_of_a_stack(bad, match):
+    stack = np.ones((4, 3), dtype=complex)
+    stack[2] = [bad, 0.0, 0.0]
+    with pytest.raises(ValueError, match=match):
+        linalg.normalize_state(stack)
+
+
 def test_tensor_product_matches_kron_and_folds():
     rng = np.random.default_rng(3)
     a, b, c = (_random_complex(rng, (2, 2)) for _ in range(3))
