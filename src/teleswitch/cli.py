@@ -277,10 +277,9 @@ def cmd_coherence_scan(cfg):
 
 
 def cmd_three_path(cfg):
-    control = switch.uniform_control(3)
     if cfg.get("lam") is not None or cfg.get("phi") is not None:
         lams, phis = _scan_grids(cfg)
-        ks = analysis.merit_grid(control, analysis.OutcomeFamily3.grid(lams, phis))
+        ks = analysis.merit_grid(switch.uniform_control(3), analysis.OutcomeFamily3.grid(lams, phis))
         # phi-major: the transpose of the lambda-major grid
         ks = ks.reshape(len(lams), len(phis)).T.ravel()
         values = [np.repeat(phis, len(lams)), np.tile(lams, len(phis)), ks]
