@@ -30,10 +30,9 @@ def _check_p(p):
 
 
 def _check_q(q):
-    """q if it is a control weight in [0, 1]: the one check of q."""
+    """Refuse q unless it is a control weight in [0, 1]: the one check of q."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q={q} outside [0, 1]")
-    return q
 
 
 @dataclass(frozen=True)
