@@ -47,7 +47,8 @@ def test_isotropic_weights_domain():
         lambda q: switch.closed_form_two(0.1, q, "+", np.eye(2) / 2),
     )
     for check in q_checks:
-        check(0.0), check(1.0)
+        check(0.0)
+        check(1.0)
         for q in (1 + 1e-15, -1e-300, np.nan):
             with pytest.raises(ValueError, match=r"q=.* outside \[0, 1\]"):
                 check(q)
