@@ -118,24 +118,36 @@ def apply_channel(channel, rho):
 
 
 def _clamped_det(rho):
-    d = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
-    if abs(d) < DET_CLAMP:
-        return 0.0
-    if d < 0:
-        raise ValueError(f"determinant {d:.3e} is negative beyond rounding")
-    return d
+    """det of each (..., 2, 2) state, with |det| below DET_CLAMP read as 0.
+
+    The real part of each complex product is taken as two rounded real
+    products, as numpy's scalar complex arithmetic rounds it; its vectorized
+    complex multiply may fuse them and move a row's last bit.
+    """
+    def real_product(x, y):
+        return x.real * y.real - x.imag * y.imag
+
+    d = real_product(rho[..., 0, 0], rho[..., 1, 1]) - real_product(rho[..., 0, 1], rho[..., 1, 0])
+    if np.any(d <= -DET_CLAMP):
+        raise ValueError(f"determinant {d.min():.3e} is negative beyond rounding")
+    return np.where(abs(d) < DET_CLAMP, 0.0, d)
 
 
 def qubit_fidelity(rho, sigma):
-    """F = Tr(rho sigma) + 2 sqrt(det rho * det sigma) for qubit states."""
+    """F = Tr(rho sigma) + 2 sqrt(det rho * det sigma) for qubit states.
+
+    rho and sigma are (2, 2) states or (R, 2, 2) stacks, one F per row; a pair
+    of (2, 2) states gives a float.
+    """
     rho = assert_density_matrix(np.asarray(rho, dtype=complex))
     sigma = assert_density_matrix(np.asarray(sigma, dtype=complex))
-    if rho.shape != (2, 2) or sigma.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2) or sigma.shape[-2:] != (2, 2) or max(rho.ndim, sigma.ndim) > 3:
         raise ValueError("qubit_fidelity needs 2x2 density matrices")
-    f = float(np.real(np.trace(rho @ sigma))) + 2 * np.sqrt(
+    f = np.trace(rho @ sigma, axis1=-2, axis2=-1).real + 2 * np.sqrt(
         _clamped_det(rho) * _clamped_det(sigma)
     )
-    return float(min(max(f, 0.0), 1.0 + FIDELITY_OVERSHOOT))
+    f = np.clip(f, 0.0, 1.0 + FIDELITY_OVERSHOOT)
+    return float(f) if f.ndim == 0 else f
 
 
 def no_switch_fidelity(p, n):

@@ -316,8 +316,16 @@ def cmd_verify(cfg):
         }
         _write_json(handle, payload)
     if out:
-        with _output(None) as handle:
-            handle.writelines(f"{line}\n" for line in verification.report_lines(results))
+        try:
+            with _output(None) as handle:
+                handle.writelines(f"{line}\n" for line in verification.report_lines(results))
+        except UsageError:
+            # a verify that fails leaves no report file behind; a device such
+            # as /dev/full is not a regular file and stays
+            if os.path.isfile(out):
+                with contextlib.suppress(OSError):
+                    os.remove(out)
+            raise
     return 0 if all(r.passed for r in results) else 2
 
 

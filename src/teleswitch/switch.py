@@ -10,8 +10,11 @@ summed over all index tuples. Measuring the control and keeping one outcome
 leaves an unnormalized system state whose trace is the outcome probability.
 
 switch_two and switch_n compute this joint directly from the Kraus operators
-of any channels: the ordered products for every index tuple are built as one
-batched stack per permutation, and the sum over tuples is a single einsum.
+of any channels. A branch's ordered product depends only on which channel sits
+in each slot, so the products of every index tuple are built once per distinct
+slot sequence and each branch transposes that tensor's Kraus-index axes; each
+input meets all products in one matrix product, and the sum over tuples is a
+single einsum.
 The joint is linear in rho, so rho may be one (2, 2) state or an (R, 2, 2) stack:
 joints, projected states and probabilities then carry the leading R axis, and each
 row equals its own one-state call. This brute route uses no Pauli algebra, so it
@@ -126,8 +129,11 @@ def _switch(channels, rho, control):
     """Joint state of the channels in superposition of causal order.
 
     Control branch k applies the copies in the order of permutation k,
-    perm[0] first. The ordered Kraus products of every index tuple t form
-    one (n!, T, 2, 2) stack O, and the joint is one contraction over tuples:
+    perm[0] first, so slot r holds copy perm[r]. One product tensor per
+    distinct sequence of channel objects, slot r's Kraus index on axis r,
+    gives each branch's stack by a transpose of those axes; the branches form
+    one (n!, T, 2, 2) stack O over index tuples t, O rho is one matrix product
+    per input, and the joint is one contraction over tuples:
     J[(i,a),(l,b)] = c_a conj(c_b) sum_t (O[a,t] rho O[b,t]^dag)[i,l].
     rho is one (2, 2) state or an (R, 2, 2) stack, making J (2 n!, 2 n!) or (R, 2 n!, 2 n!).
     """
@@ -139,23 +145,26 @@ def _switch(channels, rho, control):
     rho = assert_density_matrix(np.asarray(rho, dtype=complex))
     if rho.shape[-2:] != (2, 2) or rho.ndim > 3:
         raise ValueError("system state must be a qubit or a stack of qubits")
-    # copy c's Kraus index sits on batch axis c, so each product broadcasts
-    # over every index tuple at once
-    kraus = [
-        np.asarray(_kraus_of(ch), dtype=complex).reshape((-1,) + (1,) * (n - 1 - c) + (2, 2))
-        for c, ch in enumerate(channels)
-    ]
-    ops = []
+    # one Kraus stack per distinct channel and one product tensor per distinct
+    # slot sequence, keyed by channel identity; slot r's Kraus index sits on
+    # batch axis r, so each product broadcasts over every index tuple at once
+    kraus, products, ops = {}, {}, []
     for perm in perms:
-        op = np.eye(2, dtype=complex)
-        for copy in perm:
-            op = kraus[copy] @ op
-        ops.append(op.reshape(-1, 2, 2))
-    ops = np.stack(ops)
-    rho = rho[..., None, None, :, :]
-    joint = np.einsum("...atij,btlj->...ialb", ops @ rho, ops.conj(), optimize=True)
+        key = tuple(id(channels[copy]) for copy in perm)
+        if key not in products:
+            op = np.eye(2, dtype=complex)
+            for r, copy in enumerate(perm):
+                if key[r] not in kraus:
+                    kraus[key[r]] = np.asarray(_kraus_of(channels[copy]), dtype=complex)
+                op = kraus[key[r]].reshape((-1,) + (1,) * (n - 1 - r) + (2, 2)) @ op
+            products[key] = op
+        # branch perm reads copy c's Kraus index from slot axis perm.index(c)
+        ops.append(products[key].transpose([perm.index(c) for c in range(n)] + [n, n + 1]))
+    ops = np.stack(ops).reshape(d, -1, 2, 2)
+    left = (ops.reshape(-1, 2) @ rho).reshape(rho.shape[:-2] + ops.shape)
+    joint = np.einsum("...atij,btlj->...ialb", left, ops.conj(), optimize=True)
     joint *= control.density()[:, None, :]
-    return JointState(joint.reshape(rho.shape[:-4] + (2 * d, 2 * d)), d)
+    return JointState(joint.reshape(rho.shape[:-2] + (2 * d, 2 * d)), d)
 
 
 def switch_two(cha, chb, rho, control):

@@ -221,8 +221,8 @@ def input_independence_haar(rng, size):
     """size: the number of Haar inputs at p = 0.2, q = 0.37, outcome +, switched as one stack."""
     rhos = np.array([_haar_density(rng) for _ in range(size)])
     states = _post_selected_plus(0.2, 0.37, rhos).state
-    fids = [channels.qubit_fidelity(rho, state) for rho, state in zip(rhos, states)]
-    return {"spread": max(fids) - min(fids)}
+    fids = channels.qubit_fidelity(rhos, states)
+    return {"spread": fids.max() - fids.min()}
 
 
 @_check({"edge_dev": ROOT, "threshold_dev": ROOT, "region2_iff_mu_above_1/6": FLAG,

@@ -145,6 +145,42 @@ def test_qubit_fidelity_clamps_pure_state_determinant_noise():
     assert channels.qubit_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-14)
 
 
+def _scalar_qubit_fidelity(rho, sigma):
+    # the one-pair formula in numpy's scalar complex arithmetic
+    def det(m):
+        d = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
+        return 0.0 if abs(d) < channels.DET_CLAMP else d
+
+    f = float(np.real(np.trace(rho @ sigma))) + 2 * np.sqrt(det(rho) * det(sigma))
+    return float(min(max(f, 0.0), 1.0 + channels.FIDELITY_OVERSHOOT))
+
+
+def test_qubit_fidelity_stack_rows_equal_one_pair_calls():
+    # every row of a stack, its own one-pair call and the scalar formula agree
+    # bit for bit
+    rng = np.random.default_rng(27)
+
+    def state(pure):
+        v = switch.haar_random_state(2, rng)
+        mix = 1.0 if pure else rng.uniform()
+        return mix * np.outer(v, v.conj()) + (1 - mix) * np.eye(2) / 2
+
+    rhos = np.array([state(k % 2) for k in range(400)])
+    sigmas = np.array([state(k % 3) for k in range(400)])
+    fids = channels.qubit_fidelity(rhos, sigmas)
+    assert fids.shape == (400,)
+    for f, rho, sigma in zip(fids, rhos, sigmas):
+        one = channels.qubit_fidelity(rho, sigma)
+        assert type(one) is float and f == one == _scalar_qubit_fidelity(rho, sigma)
+    # one row that is not PSD fails the whole stack
+    bad = rhos.copy()
+    bad[7] = np.diag([1.2, -0.2])
+    with pytest.raises(ValueError, match="PSD"):
+        channels.qubit_fidelity(bad, sigmas)
+    with pytest.raises(ValueError, match="2x2"):
+        channels.qubit_fidelity(np.eye(3) / 3, np.eye(3) / 3)
+
+
 def test_no_switch_fidelity_formula_and_arrays():
     assert channels.no_switch_fidelity(0.0, 1) == 1.0
     assert channels.no_switch_fidelity(0.1, 1) == pytest.approx(0.8)

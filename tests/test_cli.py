@@ -275,6 +275,20 @@ def test_unwritable_out_exits_one(argv, target, tmp_path, capsys):
     assert err.startswith("teleswitch: error: cannot write output file")
 
 
+@_full
+def test_verify_out_with_full_stdout_leaves_no_file(monkeypatch, tmp_path, capsys):
+    # the report file is complete before the lines to stdout fail; the failed
+    # command removes it
+    out = tmp_path / "r.json"
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        assert run_cli(["verify", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("teleswitch: error: cannot write to stdout")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_checks_the_out_path_before_running(monkeypatch, tmp_path, capsys):
     calls = []
     monkeypatch.setattr(cli.verification, "run_all", lambda seed: calls.append(seed) or [])

@@ -71,13 +71,18 @@ def _kraus_apply(kraus, rho):
     return sum(k @ rho @ k.conj().T for k in kraus)
 
 
+def _damping(gamma):
+    return [np.array([[1, 0], [0, math.sqrt(1 - gamma)]]),
+            np.array([[0, math.sqrt(gamma)], [0, 0]])]
+
+
+_FLIP = [math.sqrt(0.7) * np.eye(2), math.sqrt(0.3) * channels.PAULI[1]]
+
+
 def test_switch_two_orders_two_different_channels():
     # amplitude damping and a bit flip do not commute, so the two definite
     # orders give different marginals: control |0> runs the first channel first
-    gamma = 0.35
-    damping = [np.array([[1, 0], [0, math.sqrt(1 - gamma)]]),
-               np.array([[0, math.sqrt(gamma)], [0, 0]])]
-    flip = [math.sqrt(0.7) * np.eye(2), math.sqrt(0.3) * channels.PAULI[1]]
+    damping, flip = _damping(0.35), _FLIP
     rng = np.random.default_rng(23)
     rho = _pure(rng)
     first_damping = _kraus_apply(flip, _kraus_apply(damping, rho))
@@ -259,6 +264,50 @@ def test_switch_n_stack_rows_equal_one_input_calls():
             assert np.array_equal(joint.system_marginal()[r], one.system_marginal())
             assert np.array_equal(sel.state[r], one_sel.state)
             assert sel.probability[r] == one_sel.probability
+
+
+def _switch_by_permutation(channels_, rho, control):
+    # the brute core written with one ordered product per permutation and one
+    # 2x2 product per (branch, tuple): the reference of the shared-product core
+    n = len(channels_)
+    perms = switch.enumerate_permutations(n)
+    d = len(perms)
+    rho = np.asarray(rho, dtype=complex)
+    kraus = [
+        np.asarray(switch._kraus_of(ch), dtype=complex).reshape((-1,) + (1,) * (n - 1 - c) + (2, 2))
+        for c, ch in enumerate(channels_)
+    ]
+    ops = []
+    for perm in perms:
+        op = np.eye(2, dtype=complex)
+        for copy in perm:
+            op = kraus[copy] @ op
+        ops.append(op.reshape(-1, 2, 2))
+    ops = np.stack(ops)
+    rho = rho[..., None, None, :, :]
+    joint = np.einsum("...atij,btlj->...ialb", ops @ rho, ops.conj(), optimize=True)
+    joint *= control.density()[:, None, :]
+    return joint.reshape(rho.shape[:-4] + (2 * d, 2 * d))
+
+
+def test_shared_products_match_the_per_permutation_loop():
+    # one product tensor per slot sequence gives the joints of one product per
+    # permutation, bit for bit, for one input and for a stack
+    rng = np.random.default_rng(26)
+    rhos = np.array([_pure(rng) for _ in range(5)])
+    for n in (2, 3, 4):
+        d = math.factorial(n)
+        for ch in (channels.isotropic_channel(rng.uniform(0, 1 / 3)), _damping(rng.uniform())):
+            control = switch.ControlState(switch.haar_random_state(d, rng))
+            for rho in (rhos[0], rhos):
+                got = switch.switch_n(ch, n, rho, control).matrix
+                assert np.array_equal(got, _switch_by_permutation((ch,) * n, rho, control))
+    # two different channels: two product tensors
+    for cha, chb in ((_damping(0.35), _FLIP), (_FLIP, channels.isotropic_channel(0.2))):
+        control = switch.control_qubit(rng.uniform())
+        for rho in (rhos[0], rhos):
+            got = switch.switch_two(cha, chb, rho, control).matrix
+            assert np.array_equal(got, _switch_by_permutation((cha, chb), rho, control))
 
 
 def test_brute_route_does_not_use_the_polynomial_route(monkeypatch):
