@@ -320,11 +320,14 @@ def cmd_verify(cfg):
             with _output(None) as handle:
                 handle.writelines(f"{line}\n" for line in verification.report_lines(results))
         except UsageError:
-            # a verify that fails leaves no report file behind; a device such
-            # as /dev/full is not a regular file and stays
-            if os.path.isfile(out):
+            # a verify that fails leaves no report file behind: the file the
+            # report went to is removed, the target of a symlinked --out
+            # included, and the link stays; a device such as /dev/full is not
+            # a regular file and stays
+            written = os.path.realpath(out)
+            if os.path.isfile(written):
                 with contextlib.suppress(OSError):
-                    os.remove(out)
+                    os.remove(written)
             raise
     return 0 if all(r.passed for r in results) else 2
 

@@ -276,14 +276,21 @@ def test_unwritable_out_exits_one(argv, target, tmp_path, capsys):
 
 
 @_full
-def test_verify_out_with_full_stdout_leaves_no_file(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("linked", [False, True])
+def test_verify_out_with_full_stdout_leaves_no_file(linked, monkeypatch, tmp_path, capsys):
     # the report file is complete before the lines to stdout fail; the failed
-    # command removes it
-    out = tmp_path / "r.json"
+    # command removes it, through a symlinked --out the link's target, and
+    # leaves the link
+    written = tmp_path / "r.json"
+    out = tmp_path / "link.json" if linked else written
+    if linked:
+        written.write_text("old\n")
+        out.symlink_to(written)
     with open("/dev/full", "w") as full:
         monkeypatch.setattr(sys, "stdout", full)
         assert run_cli(["verify", "--out", str(out)]) == 1
-    assert not out.exists()
+    assert not written.exists()
+    assert out.is_symlink() == linked
     err = capsys.readouterr().err
     assert err.startswith("teleswitch: error: cannot write to stdout")
     assert len(err.strip().splitlines()) == 1

@@ -1,22 +1,21 @@
 """Time the brute Kraus oracle and `verify` in process and write the medians as JSON.
 
-    python3 tools/bench_stages.py --out BENCH_<n>.json [--src LABEL=DIR ...] \
-        [--rounds R] [--calls C]
+    python3 tools/bench_stages.py --out BENCH_<n>.json [--src LABEL=DIR ...]
 
 Each --src names a package source directory (default: this checkout's src,
 labelled "head"); give two to compare a change with its parent in one
-session. Every round runs one fresh interpreter per source, in alternating
-order, with BLAS pinned to one thread. The interpreter imports the package
-from that directory, warms each stage up once and then times C calls of each
-stage:
+session. Each of the ROUNDS rounds runs one fresh interpreter per source, in
+alternating order, with BLAS pinned to one thread. The interpreter imports the
+package from that directory, warms each stage up once and then times CALLS
+calls of each stage:
 
 - switch_two: two copies of one isotropic channel, one input;
 - switch_n(2), switch_n(3), switch_n(4): the same channel, one input, the
   uniform control;
 - verify: verification.run_all's loop, with each check timed on its own.
 
-A round reports the median of its C calls per stage, and the file holds, per
-source and stage, the median over rounds with the lowest and highest round
+A round reports the median of its CALLS calls per stage, and the file holds,
+per source and stage, the median over rounds with the lowest and highest round
 median. Times are wall seconds (time.perf_counter) on a shared machine;
 compare sources from the same file only. Uses the standard library and numpy.
 """
@@ -32,18 +31,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# fixed, so that every BENCH_*.json times the same run length
+ROUNDS = 11
+CALLS = 30
 
 
-def _median_time(call, calls):
+def _median_time(call):
     times = []
-    for _ in range(calls):
+    for _ in range(CALLS):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
 
 
-def worker(calls):
+def worker():
     """One round in this interpreter: {stage: median s}, versions and flags."""
     import numpy as np
     from teleswitch import channels, switch, verification
@@ -66,10 +68,10 @@ def worker(calls):
     medians = {}
     for name, call in stages.items():
         call()
-        medians[name] = _median_time(call, calls)
+        medians[name] = _median_time(call)
     verify({})
     spans = {}
-    medians["verify"] = _median_time(lambda: verify(spans), calls)
+    medians["verify"] = _median_time(lambda: verify(spans))
     checks = {f"verify.{name}": statistics.median(times) for name, times in spans.items()}
     return {
         "stages": {**medians, **checks},
@@ -79,9 +81,9 @@ def worker(calls):
     }
 
 
-def _round(src, calls):
+def _round(src):
     env = {**os.environ, **PINNED, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, __file__, "--worker", "--calls", str(calls)],
+    proc = subprocess.run([sys.executable, __file__, "--worker"],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -90,15 +92,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", metavar="LABEL=DIR",
                         help="package source directory to time (repeatable)")
-    parser.add_argument("--rounds", type=int, default=7)
-    parser.add_argument("--calls", type=int, default=30, help="timed calls per stage and round")
     parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.calls < 1:
-        parser.error("--rounds and --calls must be at least 1")
     if args.worker:
-        json.dump(worker(args.calls), sys.stdout)
+        json.dump(worker(), sys.stdout)
         return 0
     if not args.out:
         parser.error("--out is required")
@@ -107,10 +105,10 @@ def main(argv=None):
         parser.error("--src takes LABEL=DIR")
     sources = dict(spec.split("=", 1) for spec in specs)
     rounds = {label: [] for label in sources}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         order = list(sources.items())
         for label, src in order if r % 2 == 0 else order[::-1]:
-            rounds[label].append(_round(str(Path(src).resolve()), args.calls))
+            rounds[label].append(_round(str(Path(src).resolve())))
     runs = {}
     for label, results in rounds.items():
         stages = {}
@@ -122,8 +120,8 @@ def main(argv=None):
         runs[label]["stages"] = stages
     report = {
         "tool": "tools/bench_stages.py",
-        "rounds": args.rounds,
-        "calls_per_round": args.calls,
+        "rounds": ROUNDS,
+        "calls_per_round": CALLS,
         "blas_threads": 1,
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count()},
         "runs": runs,
