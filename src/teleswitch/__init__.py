@@ -21,7 +21,6 @@ from .analysis import (
     k_total,
     l1_coherence,
     merit_grid,
-    mu_threshold,
     no_switch_merit,
     optimize_outcome,
     switched_fidelity,

@@ -104,11 +104,6 @@ def advantage_regions(mu):
     return AdvantageRegions(float((-b - disc) / (2 * a)), float((-b + disc) / (2 * a)))
 
 
-def mu_threshold():
-    """Minimal superposition mu for the large-noise advantage region to exist."""
-    return 1 / 6
-
-
 def l1_coherence(state):
     """Sum of absolute off-diagonal entries of |psi><psi| in the computational basis."""
     v = normalize_state(state)

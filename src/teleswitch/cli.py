@@ -136,15 +136,23 @@ def _output(path, newline=None):
         raise UsageError(f"cannot write output file: {exc}") from None
 
 
-def _write_csv(path, names, values):
+def _remove_output(path):
+    """Remove the regular file written at path, the target of a symlink included;
+    the link stays, and a device such as /dev/full is not a regular file and stays."""
+    written = os.path.realpath(path)
+    if os.path.isfile(written):
+        with contextlib.suppress(OSError):
+            os.remove(written)
+
+
+def _write_csv(handle, names, values):
     # one row format per table, %.12g for a float column and %s for any other,
     # so each block of rows is a single % call
     row = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in values) + "\r\n"
-    with _output(path, newline="") as handle:
-        handle.write(",".join(map(_quoted, names)) + "\r\n")
-        for start in range(0, len(values[0]), CSV_BLOCK_ROWS):
-            cells = [_cells(column[start:start + CSV_BLOCK_ROWS]) for column in values]
-            handle.write(row * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells))))
+    handle.write(",".join(map(_quoted, names)) + "\r\n")
+    for start in range(0, len(values[0]), CSV_BLOCK_ROWS):
+        cells = [_cells(column[start:start + CSV_BLOCK_ROWS]) for column in values]
+        handle.write(row * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells))))
 
 
 def _write_json(handle, payload):
@@ -177,13 +185,26 @@ def _emit_tables(cfg, command, params, tables):
     out = cfg.get("out")
     if len(tables) > 1 and not out:
         raise UsageError("this command writes multiple CSV tables; --out is required")
-    for suffix, names, values in tables:
-        if out:
-            base = Path(out)
-            path = base if not suffix else base.with_name(f"{base.stem}_{suffix}{base.suffix}")
-        else:
-            path = None
-        _write_csv(path, names, values)
+    if not out:
+        with _output(None) as handle:
+            _write_csv(handle, *tables[0][1:])
+        return
+    base = Path(out)
+    paths = [base if not suffix else base.with_name(f"{base.stem}_{suffix}{base.suffix}")
+             for suffix, _, _ in tables]
+    # every file is opened before the first is written, and an OSError in any
+    # open or write removes the files already opened, so no table is left behind
+    opened = []
+    try:
+        with contextlib.ExitStack() as stack:
+            for path in paths:
+                opened.append(stack.enter_context(_output(path, newline="")))
+            for handle, (_, names, values) in zip(opened, tables):
+                _write_csv(handle, names, values)
+    except UsageError:
+        for path in paths[:len(opened)]:
+            _remove_output(path)
+        raise
 
 
 def _p_grid(cfg):
@@ -263,8 +284,9 @@ def cmd_tradeoff(cfg):
     # q-major, then one row per outcome label
     labels = list(OUTCOME_VECTORS)
     k_totals = np.repeat([analysis.k_total(control) for control in controls], len(labels))
-    ks = np.stack([analysis.merit_grid(controls, m) for m in OUTCOME_VECTORS.values()], axis=1)
-    values = [np.repeat(qs, len(labels)), k_totals, ks.ravel(), np.tile(labels, len(qs))]
+    rows = [control for control in controls for _ in labels]
+    ks = analysis.merit_grid(rows, np.tile(list(OUTCOME_VECTORS.values()), (len(qs), 1)))
+    values = [np.repeat(qs, len(labels)), k_totals, ks, np.tile(labels, len(qs))]
     _emit_tables(cfg, "tradeoff", {}, [("", ["q", "K_total", "K", "outcome_label"], values)])
 
 
@@ -320,14 +342,8 @@ def cmd_verify(cfg):
             with _output(None) as handle:
                 handle.writelines(f"{line}\n" for line in verification.report_lines(results))
         except UsageError:
-            # a verify that fails leaves no report file behind: the file the
-            # report went to is removed, the target of a symlinked --out
-            # included, and the link stays; a device such as /dev/full is not
-            # a regular file and stays
-            written = os.path.realpath(out)
-            if os.path.isfile(written):
-                with contextlib.suppress(OSError):
-                    os.remove(written)
+            # a verify that fails leaves no report file behind
+            _remove_output(out)
             raise
     return 0 if all(r.passed for r in results) else 2
 

@@ -30,9 +30,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _lex_permutations
-from itertools import product
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .channels import PAULI, _check_p, _check_q
 from .linalg import (DEGENERATE_PROB, IDENTITY_TOL, assert_density_matrix, normalize_state,
@@ -243,20 +243,11 @@ def haar_random_state(dim, rng):
 # polynomial kernel for isotropic channels
 # --------------------------------------------------------------------------
 
-# sigma_a sigma_b = i^t sigma_k encoded as _PROD[a][b] = (k, t)
-_EPS = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
-
-
-def _pauli_product(a, b):
-    if a == 0:
-        return b, 0
-    if b == 0:
-        return a, 0
-    if a == b:
-        return 0, 0
-    if (a, b) in _EPS:
-        return _EPS[(a, b)], 1  # cyclic: +i
-    return _EPS[(b, a)], 3  # anticyclic: -i
+# sigma_a sigma_b = i^t sigma_k as _PROD_K[a, b] = k and _PROD_T[a, b] = t, read
+# off the overlaps tr(sigma_k sigma_a sigma_b) / 2, of which one is nonzero
+_OVERLAPS = np.einsum("kij,abji->abk", np.array(PAULI), _PAULI_PAIRS) / 2
+_PROD_K = np.abs(_OVERLAPS).argmax(axis=-1).astype(np.int8)
+_PROD_T = (np.rint(np.angle(_OVERLAPS.sum(axis=-1)) * 2 / np.pi) % 4).astype(np.int8)
 
 
 @lru_cache(maxsize=None)
@@ -270,25 +261,29 @@ def branch_pair_weight_counts(n):
 
         w_k^{ab}(p) = sum_z B[k, a, b, z] (1-3p)^z p^(n-z).
     """
-    perms = enumerate_permutations(n)
+    perms = np.array(enumerate_permutations(n))
     d = len(perms)
+    # int8 labels and phases keep the (4^n, n!) intermediates narrow
+    tuples = np.indices((4,) * n, dtype=np.int8).reshape(n, -1).T
+    # labels[i, a, r]: the Pauli label in slot r of branch a for tuple i
+    labels = tuples[:, perms]
+    k = np.zeros(labels.shape[:2], dtype=np.int8)
+    t = np.zeros_like(k)
+    for r in range(n):  # perm[0] acts first => left-multiply
+        k, t = _PROD_K[labels[..., r], k], (t + _PROD_T[labels[..., r], k]) % 4
+    if np.any(k != k[:, :1]):
+        raise InvariantError("branch products disagree on the Pauli label")
+    # each branch's phase relative to branch 0 is i^0 or i^2, so sign a times
+    # sign b is the relative phase of branches a and b
+    rel = (t - t[:, :1]) % 4
+    if np.any(rel % 2):
+        raise InvariantError("relative branch phase is not +-1")
+    sign = 1 - rel
+    zeros = np.count_nonzero(tuples == 0, axis=1)
+    # each tuple adds its (a, b) sign products to the cell of its k and z
     counts = np.zeros((4, d, d, n + 1), dtype=np.int64)
-    for idx in product(range(4), repeat=n):
-        z = idx.count(0)
-        ks = np.empty(d, dtype=np.int64)
-        ts = np.empty(d, dtype=np.int64)
-        for a, perm in enumerate(perms):
-            k, t = 0, 0
-            for copy in perm:  # perm[0] acts first => left-multiply
-                k, dt = _pauli_product(idx[copy], k)
-                t = (t + dt) % 4
-            ks[a], ts[a] = k, t
-        if not np.all(ks == ks[0]):
-            raise InvariantError("branch products disagree on the Pauli label")
-        rel = (ts[:, None] - ts[None, :]) % 4
-        if not np.all((rel == 0) | (rel == 2)):
-            raise InvariantError("relative branch phase is not +-1")
-        counts[ks[0], :, :, z] += np.where(rel == 0, 1, -1)
+    np.add.at(counts, (k[:, 0], slice(None), slice(None), zeros),
+              sign[:, :, None] * sign[:, None, :])
     counts.setflags(write=False)
     return counts
 
@@ -296,14 +291,8 @@ def branch_pair_weight_counts(n):
 @lru_cache(maxsize=None)
 def pauli_basis_monomials(n):
     """Monomial coefficients (ascending) of (1-3p)^z p^(n-z) for z = 0..n."""
-    rows = np.zeros((n + 1, n + 1))
-    for z in range(n + 1):
-        poly = np.array([1.0])
-        for _ in range(z):
-            poly = np.polynomial.polynomial.polymul(poly, [1.0, -3.0])
-        for _ in range(n - z):
-            poly = np.polynomial.polynomial.polymul(poly, [0.0, 1.0])
-        rows[z, : len(poly)] = poly
+    rows = np.array([P.polymul(P.polypow([1.0, -3.0], z), P.polypow([0.0, 1.0], n - z))
+                     for z in range(n + 1)])
     rows.setflags(write=False)
     return rows
 

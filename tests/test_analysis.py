@@ -62,8 +62,8 @@ def test_advantage_region_values_at_maximal_superposition():
 
 
 def test_region2_existence_threshold():
-    assert analysis.mu_threshold() == pytest.approx(1 / 6)
     assert not analysis.advantage_regions(1 / 6).region2_exists
+    assert not analysis.advantage_regions(1 / 6 - 1e-6).region2_exists
     assert not analysis.advantage_regions(0.1).region2_exists
     assert analysis.advantage_regions(1 / 6 + 1e-6).region2_exists
     assert abs(verification.mu_threshold_bisection() - 1 / 6) < 1e-9

@@ -200,7 +200,8 @@ def _synthetic_table(rows):
 def test_block_writer_matches_row_writer_on_a_synthetic_table(rows, tmp_path):
     names, values = _synthetic_table(rows)
     out = tmp_path / "t.csv"
-    cli._write_csv(out, names, values)
+    with open(out, "w", newline="") as handle:
+        cli._write_csv(handle, names, values)
     assert out.read_bytes() == _row_writer_bytes(names, values)
 
 
@@ -273,6 +274,28 @@ def test_unwritable_out_exits_one(argv, target, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert err.startswith("teleswitch: error: cannot write output file")
+
+
+@pytest.mark.parametrize("surface", [
+    "directory",
+    pytest.param("full", marks=_full),
+])
+def test_region_map_that_cannot_write_a_table_leaves_no_file(surface, tmp_path, capsys):
+    # every table is opened before the first is written: a surface path that
+    # cannot be opened (a directory) or written (a link to a full device)
+    # removes the main table, and the directory and the link stay
+    table = tmp_path / "r_surface.csv"
+    if surface == "directory":
+        table.mkdir()
+    else:
+        table.symlink_to("/dev/full")
+    out = tmp_path / "r.csv"
+    assert run_cli(["region-map", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert table.is_dir() if surface == "directory" else table.is_symlink()
+    err = capsys.readouterr().err
+    assert err.startswith("teleswitch: error: cannot write output file")
+    assert len(err.strip().splitlines()) == 1
 
 
 @_full

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -355,8 +356,71 @@ def test_polynomial_weights_equal_for_nonidentity_paulis():
         assert np.max(np.abs(w[1] - w[3])) < 1e-12
 
 
+# the Pauli product as a Levi-Civita table, written out by hand:
+# sigma_a sigma_b = i^t sigma_k is _pauli_product(a, b) = (k, t)
+_EPS = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
+
+
+def _pauli_product(a, b):
+    if a == 0:
+        return b, 0
+    if b == 0:
+        return a, 0
+    if a == b:
+        return 0, 0
+    if (a, b) in _EPS:
+        return _EPS[(a, b)], 1  # cyclic: +i
+    return _EPS[(b, a)], 3  # anticyclic: -i
+
+
+def _counts_by_tuple(n):
+    """The count tensor by a loop over every Kraus tuple, branch and slot."""
+    perms = switch.enumerate_permutations(n)
+    d = len(perms)
+    counts = np.zeros((4, d, d, n + 1), dtype=np.int64)
+    for idx in itertools.product(range(4), repeat=n):
+        ks, ts = np.empty(d, dtype=np.int64), np.empty(d, dtype=np.int64)
+        for a, perm in enumerate(perms):
+            k, t = 0, 0
+            for copy in perm:  # perm[0] acts first => left-multiply
+                k, dt = _pauli_product(idx[copy], k)
+                t = (t + dt) % 4
+            ks[a], ts[a] = k, t
+        assert np.all(ks == ks[0])
+        rel = (ts[:, None] - ts[None, :]) % 4
+        assert np.all((rel == 0) | (rel == 2))
+        counts[ks[0], :, :, idx.count(0)] += np.where(rel == 0, 1, -1)
+    return counts
+
+
+def test_count_tensor_matches_the_loop_over_tuples():
+    table = [[(switch._PROD_K[a, b], switch._PROD_T[a, b]) for b in range(4)] for a in range(4)]
+    assert table == [[_pauli_product(a, b) for b in range(4)] for a in range(4)]
+    for n in (2, 3, 4):
+        counts = switch.branch_pair_weight_counts(n)
+        assert counts.dtype == np.int64
+        assert not counts.flags.writeable
+        assert np.array_equal(counts, _counts_by_tuple(n))
+
+
+def test_a_wrong_pauli_product_breaks_an_invariant(monkeypatch):
+    # sigma_x sigma_y = i sigma_z: a wrong label or phase for it must not pass
+    for table, message in (("_PROD_K", "Pauli label"), ("_PROD_T", "relative branch phase")):
+        wrong = getattr(switch, table).copy()
+        wrong[1, 2] = (wrong[1, 2] + 1) % 4
+        switch.branch_pair_weight_counts.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(switch, table, wrong)
+                for n in (2, 3):
+                    with pytest.raises(switch.InvariantError, match=message):
+                        switch.branch_pair_weight_counts(n)
+        finally:
+            switch.branch_pair_weight_counts.cache_clear()
+
+
 def test_branch_pair_weight_counts_are_integer_and_symmetric():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         counts = switch.branch_pair_weight_counts(n)
         d = math.factorial(n)
         assert counts.shape == (4, d, d, n + 1)

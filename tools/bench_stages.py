@@ -1,4 +1,4 @@
-"""Time the brute Kraus oracle and `verify` in process and write the medians as JSON.
+"""Time the brute Kraus oracle, the count tensor and `verify` in process; write JSON medians.
 
     python3 tools/bench_stages.py --out BENCH_<n>.json [--src LABEL=DIR ...]
 
@@ -12,6 +12,9 @@ calls of each stage:
 - switch_two: two copies of one isotropic channel, one input;
 - switch_n(2), switch_n(3), switch_n(4): the same channel, one input, the
   uniform control;
+- counts(2), counts(3), counts(4): the cold count-tensor build and fold, with
+  the caches of branch_pair_weight_counts, pauli_basis_monomials and
+  _folded_counts cleared before each call;
 - verify: verification.run_all's loop, with each check timed on its own.
 
 A round reports the median of its CALLS calls per stage, and the file holds,
@@ -57,6 +60,15 @@ def worker():
     for n in (2, 3, 4):
         uniform = switch.uniform_control(n)
         stages[f"switch_n({n})"] = lambda n=n, c=uniform: switch.switch_n(ch, n, rho, c)
+
+    def counts(n):
+        for cached in (switch.branch_pair_weight_counts, switch.pauli_basis_monomials,
+                       switch._folded_counts):
+            cached.cache_clear()
+        switch._folded_counts(n)
+
+    for n in (2, 3, 4):
+        stages[f"counts({n})"] = lambda n=n: counts(n)
 
     def verify(spans):
         rng = np.random.default_rng(42)
