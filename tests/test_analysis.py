@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from teleswitch import analysis, channels, switch, verification
+from teleswitch.linalg import normalize_state
 
 POLYVAL = np.polynomial.polynomial.polyval
 
@@ -205,8 +206,11 @@ def test_outcome_family_grid_is_lambda_major():
     lams, phis = [0.0, 0.5, 2.0], [0.0, 1.0]
     stack = analysis.OutcomeFamily3.grid(lams, phis)
     assert stack.shape == (6, 6)
+    # grid leaves the rows unnormalized (merit_grid and curve_grid normalize
+    # each row once); vector() is the normalized row, bit for bit
+    normalized = normalize_state(stack)
     for i, (lam, phi) in enumerate((lam, phi) for lam in lams for phi in phis):
-        assert np.allclose(stack[i], analysis.OutcomeFamily3(lam, phi).vector(), atol=1e-15)
+        assert np.array_equal(normalized[i], analysis.OutcomeFamily3(lam, phi).vector())
     with pytest.raises(ValueError):
         analysis.OutcomeFamily2.grid([1.0, -0.5], [0.0])
 
@@ -325,3 +329,143 @@ def test_fidelity_profile_matches_brute_force_for_four_paths():
     f = analysis.fidelity_profile(ctrl, m, [0.2], 4)[0]
     sel = switch.post_select(switch.switch_n(channels.isotropic_channel(0.2), 4, rho, ctrl), m)
     assert f == pytest.approx(channels.qubit_fidelity(rho, sel.state), abs=1e-10)
+
+
+# --------------------------------------------------------------------------
+# an independent merit reference
+# --------------------------------------------------------------------------
+#
+# K integrates max(F - 2/3, 0) over p in [0, 1/3]. The reference below shares
+# only the polynomials num and den with merit_grid (the same normalized rows
+# through post_selected_weight_stack and _ratio_polynomials): it finds kinks by
+# bisecting sign changes of num - (2/3) den on a fine grid (no companion
+# matrices), and integrates each piece between them with a composite 8-node
+# Gauss-Legendre rule whose panels double until two passes agree.
+
+_REF_GRID = np.linspace(0.0, 1 / 3, 4097)
+_REF_NODES, _REF_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_REF_AGREE = 1e-17
+_REF_MAX_PANELS = 2**12
+
+
+def _reference_polynomials(controls, outcomes, n):
+    """(num, den) of each row; a qubit outcome that never fires takes its complement."""
+    amps, outcomes, n = analysis._rows(controls, outcomes, n)
+    gamma = amps * outcomes.conj()
+    silent = ~gamma.any(axis=1)
+    if silent.any():
+        # the orthogonal complement (-m1*, m0*) fires with certainty
+        perp = np.stack([-outcomes[silent, 1].conj(), outcomes[silent, 0].conj()], axis=1)
+        gamma[silent] = amps[silent] * perp.conj()
+    return analysis._ratio_polynomials(switch.post_selected_weight_stack(gamma, n))
+
+
+def _reference_cuts(g):
+    """(rows, m) sorted cuts of [0, 1/3]: its ends, every bisected sign change of
+    each row of g on _REF_GRID, and every grid point where g is exactly 0."""
+    vals = POLYVAL(_REF_GRID, g.T)
+    sign = np.sign(vals)
+    rows, cells = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    lo, hi = _REF_GRID[cells], _REF_GRID[cells + 1]
+    coef = g[rows].T
+    lo_sign = sign[rows, cells]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        left = np.sign(POLYVAL(mid, coef, tensor=False)) == lo_sign
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    zero_rows, zero_cells = np.nonzero(sign == 0)
+    rows = np.concatenate([rows, zero_rows])
+    points = np.concatenate([0.5 * (lo + hi), _REF_GRID[zero_cells]])
+    cuts = [np.concatenate([[0.0], points[rows == r], [1 / 3]]) for r in range(len(g))]
+    width = max(map(len, cuts))
+    # rows with fewer cuts are padded with empty pieces at 1/3
+    return np.sort([np.pad(c, (0, width - len(c)), constant_values=1 / 3) for c in cuts], axis=1)
+
+
+def _reference_merit(controls, outcomes, n):
+    """K of each row; NaN where the doubled panels never agreed to _REF_AGREE."""
+    num, den = _reference_polynomials(controls, outcomes, n)
+    cuts = _reference_cuts(num - analysis.CLASSICAL_THRESHOLD * den)
+    merits = np.full(len(num), np.nan)
+    active, previous, panels = np.arange(len(num)), None, 1
+    while panels <= _REF_MAX_PANELS and len(active):
+        lo, hi = cuts[active, :-1, None], cuts[active, 1:, None]
+        edges = lo + (hi - lo) * np.linspace(0.0, 1.0, panels + 1)
+        half = 0.5 * np.diff(edges, axis=-1)[..., None]
+        nodes = edges[..., :-1, None] + half * (1 + _REF_NODES)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            excess = (POLYVAL(nodes, num[active].T[..., None, None, None], tensor=False)
+                      / POLYVAL(nodes, den[active].T[..., None, None, None], tensor=False)
+                      - analysis.CLASSICAL_THRESHOLD)
+        excess = np.where((half > 0) & (excess > 0), excess, 0.0)
+        total = (excess * half * _REF_WEIGHTS).reshape(len(active), -1).sum(axis=1)
+        if previous is not None:
+            agree = np.abs(total - previous) <= _REF_AGREE
+            merits[active[agree]] = total[agree]
+            active, total = active[~agree], total[~agree]
+        previous, panels = total, 2 * panels
+    return merits
+
+
+def _random_reference_rows(n, rng, rows=300):
+    d = math.factorial(n)
+    controls = [switch.ControlState(switch.haar_random_state(d, rng)) for _ in range(rows)]
+    return controls, rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d)), n
+
+
+def _near_orthogonal_rows(n, rng):
+    """Outcomes m = m_perp + delta c, nearly orthogonal to the control c: rare at small p."""
+    deltas = np.repeat([0.0, 1e-9, 1e-6, 1e-3, 1e-1], 12)
+    controls, outcomes, _ = _random_reference_rows(n, rng, len(deltas))
+    amps = np.array([c.amplitudes for c in controls])
+    perp = outcomes - np.sum(amps.conj() * outcomes, axis=1, keepdims=True) * amps
+    return controls, perp + deltas[:, None] * amps, n
+
+
+def _alpha_rows():
+    """Three-path alpha outcomes (-1, -1, -1 +- eps): den has a root at or near p = 0."""
+    eps = np.logspace(-9, -1, 17)
+    a3 = np.concatenate([-1 - eps, -1 + eps, [-1.0]])
+    outcomes = [analysis.AlphaOutcome(-1, -1, a).vector() for a in a3]
+    return switch.uniform_control(3), np.array(outcomes), 3
+
+
+def _silent_rows():
+    """Qubit rows whose outcome never fires, so K is the complement's."""
+    phis = np.linspace(0.0, 2 * math.pi, 7)
+    controls = [switch.control_qubit(1.0)] * 7 + [switch.control_qubit(0.0)] * 7
+    outcomes = np.concatenate([np.stack([0 * phis, np.exp(1j * phis)], axis=1),
+                               np.stack([np.exp(1j * phis), 0 * phis], axis=1)])
+    return controls, outcomes, 2
+
+
+_REFERENCE_ROWS = {
+    "random-n2": lambda: _random_reference_rows(2, np.random.default_rng(1702)),
+    "random-n3": lambda: _random_reference_rows(3, np.random.default_rng(1703)),
+    "random-n4": lambda: _random_reference_rows(4, np.random.default_rng(1704)),
+    "near-orthogonal-n2": lambda: _near_orthogonal_rows(2, np.random.default_rng(1712)),
+    "near-orthogonal-n3": lambda: _near_orthogonal_rows(3, np.random.default_rng(1713)),
+    "near-orthogonal-n4": lambda: _near_orthogonal_rows(4, np.random.default_rng(1714)),
+    "alpha-near-alternating": _alpha_rows,
+    "silent-n2": _silent_rows,
+}
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_ROWS))
+def test_merit_grid_matches_an_independent_reference(name):
+    controls, outcomes, n = _REFERENCE_ROWS[name]()
+    reference = _reference_merit(controls, outcomes, n)
+    # NaN marks a row whose doubled panels never agreed
+    assert not np.isnan(reference).any()
+    deviation = np.abs(analysis.merit_grid(controls, outcomes, n) - reference)
+    assert deviation.max() < verification.MERIT
+
+
+def test_merit_reference_matches_closed_forms():
+    half = switch.control_qubit(0.5)
+    plus, definite = _reference_merit(half, [[1.0, 1.0], [1.0, 0.0]], 2)
+    assert plus == pytest.approx(_merit_plus_balanced_exact(), abs=1e-15)
+    assert definite == pytest.approx(analysis.no_switch_merit(2), abs=1e-15)
+    alternating = analysis.OutcomeFamily3(1.0, 0.0).vector()
+    assert _reference_merit(switch.uniform_control(3), alternating, 3)[0] == pytest.approx(
+        1 / 36, abs=1e-15)

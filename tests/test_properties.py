@@ -21,7 +21,7 @@ def _random_rows(n, rows, seed):
 
 @hypothesis.settings(max_examples=25, deadline=None)
 @hypothesis.given(
-    n=st.sampled_from([2, 3]),
+    n=st.sampled_from([2, 3, 4]),
     rows=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
     phase=st.floats(0.0, 2 * math.pi),
@@ -57,7 +57,7 @@ def test_curve_rows_match_their_one_row_calls(n, rows, seed):
 
 @hypothesis.settings(max_examples=25, deadline=None)
 @hypothesis.given(
-    n=st.sampled_from([2, 3]),
+    n=st.sampled_from([2, 3, 4]),
     seed=st.integers(0, 2**32 - 1),
     p=st.floats(0.0, 1 / 3),
 )
@@ -79,7 +79,7 @@ def test_polynomial_route_matches_brute_route(n, seed, p):
 
 @hypothesis.settings(max_examples=25, deadline=None)
 @hypothesis.given(
-    n=st.sampled_from([2, 3]),
+    n=st.sampled_from([2, 3, 4]),
     seed=st.integers(0, 2**32 - 1),
     p=st.floats(0.0, 1 / 3),
 )

@@ -1,4 +1,4 @@
-"""Time the brute Kraus oracle, the count tensor and `verify` in process; write JSON medians.
+"""Time the brute oracle, the count tensor, merit_grid and `verify` in process; write medians.
 
     python3 tools/bench_stages.py --out BENCH_<n>.json [--src LABEL=DIR ...]
 
@@ -15,6 +15,11 @@ calls of each stage:
 - counts(2), counts(3), counts(4): the cold count-tensor build and fold, with
   the caches of branch_pair_weight_counts, pauli_basis_monomials and
   _folded_counts cleared before each call;
+- merit_grid(fom-scan): the default fom-scan grid at q = 0.5 (41 lambdas x
+  180 phases of OutcomeFamily2, n = 2), built from the grid as the CLI does;
+- merit_grid(three-path): the same default grid of OutcomeFamily3 against the
+  uniform three-path control, the rows of the three-path phase scan (n = 3);
+- merit_grid(n=4): 256 random (Haar control, Gaussian outcome) rows at n = 4;
 - verify: verification.run_all's loop, with each check timed on its own.
 
 A round reports the median of its CALLS calls per stage, and the file holds,
@@ -51,7 +56,7 @@ def _median_time(call):
 def worker():
     """One round in this interpreter: {stage: median s}, versions and flags."""
     import numpy as np
-    from teleswitch import channels, switch, verification
+    from teleswitch import analysis, channels, cli, switch, verification
 
     ch = channels.isotropic_channel(0.2)
     rho = np.array([[0.7, 0.3 - 0.2j], [0.3 + 0.2j, 0.3]])
@@ -69,6 +74,17 @@ def worker():
 
     for n in (2, 3, 4):
         stages[f"counts({n})"] = lambda n=n: counts(n)
+
+    lams, phis = cli._scan_grids({})
+    half, three = switch.control_qubit(0.5), switch.uniform_control(3)
+    stages["merit_grid(fom-scan)"] = lambda: analysis.merit_grid(
+        half, analysis.OutcomeFamily2.grid(lams, phis))
+    stages["merit_grid(three-path)"] = lambda: analysis.merit_grid(
+        three, analysis.OutcomeFamily3.grid(lams, phis))
+    rng = np.random.default_rng(17)
+    controls = [switch.ControlState(switch.haar_random_state(24, rng)) for _ in range(256)]
+    outcomes = rng.standard_normal((256, 24)) + 1j * rng.standard_normal((256, 24))
+    stages["merit_grid(n=4)"] = lambda: analysis.merit_grid(controls, outcomes, 4)
 
     def verify(spans):
         rng = np.random.default_rng(42)
