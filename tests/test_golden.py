@@ -55,6 +55,9 @@ COMMANDS = [
     ["three-path", "--format", "json"],
     ["verify"],
     ["verify", "--out", "report.json"],
+    # a JSON table written to a file
+    ["region-map", "--format", "json", "--out", "region.json"],
+    ["fom-scan", "--lambda", "1", "--format", "json", "--out", "fom.json"],
     # edge cases
     ["fidelity-curves", "--outcome", "minus"],
     ["fidelity-curves", "--outcome", "custom", "--lambda", "0.7", "--phi", "2.1", "--q", "0.3"],
@@ -67,6 +70,7 @@ COMMANDS = [
     *([name, "--help"] for name in cli.COMMANDS),
     # exit 3: an outcome that never fires
     ["fidelity-curves", "--q", "1", "--outcome", "1"],
+    ["fidelity-curves", "--q", "1", "--outcome", "1", "--out", "c.csv"],
     # exit 1: one input for each kind of usage error
     [],
     ["three-path", "--paths", "2"],
