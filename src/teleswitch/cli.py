@@ -84,7 +84,7 @@ class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         if file is not None:
             return super().print_help(file)
-        with _output(None) as handle:
+        with _output() as (handle,):
             handle.write(self.format_help())
 
 
@@ -112,11 +112,17 @@ def _json_value(value):
 
 
 @contextlib.contextmanager
-def _output(path, newline=None):
-    """The file at path opened for writing, or stdout; an OSError on either is a UsageError."""
-    if not path:
+def _output(paths=()):
+    """A handle on each of paths, every file opened for writing before the body
+    runs, or [stdout] for no paths; an OSError on any of them is a UsageError.
+
+    A failure in an open, a write, a close or the body removes the regular
+    files opened: through a symlink the link's target, and the link stays; a
+    device such as /dev/full is not a regular file and stays.
+    """
+    if not paths:
         try:
-            yield sys.stdout
+            yield [sys.stdout]
             sys.stdout.flush()
         except OSError as exc:
             # the unwritten buffer goes to os.devnull, so the interpreter's
@@ -129,20 +135,20 @@ def _output(path, newline=None):
                 os.close(devnull)
             raise UsageError(f"cannot write to stdout: {exc}") from None
         return
+    handles = []
     try:
-        with open(path, "w", newline=newline) as handle:
-            yield handle
-    except OSError as exc:
-        raise UsageError(f"cannot write output file: {exc}") from None
-
-
-def _remove_output(path):
-    """Remove the regular file written at path, the target of a symlink included;
-    the link stays, and a device such as /dev/full is not a regular file and stays."""
-    written = os.path.realpath(path)
-    if os.path.isfile(written):
-        with contextlib.suppress(OSError):
-            os.remove(written)
+        with contextlib.ExitStack() as stack:
+            for path in paths:
+                handles.append(stack.enter_context(open(path, "w", newline="")))
+            yield handles
+    except BaseException as exc:
+        for written in map(os.path.realpath, paths[:len(handles)]):
+            if os.path.isfile(written):
+                with contextlib.suppress(OSError):
+                    os.remove(written)
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write output file: {exc}") from None
+        raise
 
 
 def _write_csv(handle, names, values):
@@ -164,9 +170,10 @@ def _emit_tables(cfg, command, params, tables):
 
     tables: list of (suffix, column names, column values), where the values
     are one equal-length 1-D array per name and suffix '' names the main
-    table. A CSV table is formatted and written CSV_BLOCK_ROWS rows at a time;
-    JSON rows are built from the columns.
+    table. A CSV table is formatted and written CSV_BLOCK_ROWS rows at a time,
+    one file per table; JSON rows are built from the columns, into one file.
     """
+    out = cfg.get("out")
     if cfg["format"] == "json":
         payload = {
             "command": command,
@@ -179,32 +186,18 @@ def _emit_tables(cfg, command, params, tables):
                 for suffix, names, values in tables
             },
         }
-        with _output(cfg.get("out")) as handle:
-            _write_json(handle, payload)
-        return
-    out = cfg.get("out")
-    if len(tables) > 1 and not out:
-        raise UsageError("this command writes multiple CSV tables; --out is required")
-    if not out:
-        with _output(None) as handle:
-            _write_csv(handle, *tables[0][1:])
-        return
-    base = Path(out)
-    paths = [base if not suffix else base.with_name(f"{base.stem}_{suffix}{base.suffix}")
-             for suffix, _, _ in tables]
-    # every file is opened before the first is written, and an OSError in any
-    # open or write removes the files already opened, so no table is left behind
-    opened = []
-    try:
-        with contextlib.ExitStack() as stack:
-            for path in paths:
-                opened.append(stack.enter_context(_output(path, newline="")))
-            for handle, (_, names, values) in zip(opened, tables):
-                _write_csv(handle, names, values)
-    except UsageError:
-        for path in paths[:len(opened)]:
-            _remove_output(path)
-        raise
+        paths, writes = [out], [functools.partial(_write_json, payload=payload)]
+    else:
+        if len(tables) > 1 and not out:
+            raise UsageError("this command writes multiple CSV tables; --out is required")
+        base = Path(out or "")
+        paths = [base.with_name(f"{base.stem}_{suffix}{base.suffix}") if suffix else base
+                 for suffix, _, _ in tables]
+        writes = [functools.partial(_write_csv, names=names, values=values)
+                  for _, names, values in tables]
+    with _output(paths if out else ()) as handles:
+        for handle, write in zip(handles, writes):
+            write(handle)
 
 
 def _p_grid(cfg):
@@ -323,8 +316,10 @@ def cmd_three_path(cfg):
 
 def cmd_verify(cfg):
     out = cfg.get("out")
-    # the output is opened first, so an unwritable path fails before the checks run
-    with _output(out) as handle:
+    # the output is opened first, so an unwritable path fails before the checks
+    # run; the report is flushed before its lines go to stdout, and lines that
+    # cannot reach stdout void the report file
+    with _output([out] if out else ()) as (handle,):
         results = verification.run_all(cfg["seed"])
         payload = {
             "command": "verify",
@@ -337,14 +332,10 @@ def cmd_verify(cfg):
             "failed": sum(not r.passed for r in results),
         }
         _write_json(handle, payload)
-    if out:
-        try:
-            with _output(None) as handle:
-                handle.writelines(f"{line}\n" for line in verification.report_lines(results))
-        except UsageError:
-            # a verify that fails leaves no report file behind
-            _remove_output(out)
-            raise
+        if out:
+            handle.flush()
+            with _output() as (stdout,):
+                stdout.writelines(f"{line}\n" for line in verification.report_lines(results))
     return 0 if all(r.passed for r in results) else 2
 
 

@@ -271,7 +271,9 @@ _full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full
 ])
 def test_unwritable_out_exits_one(argv, target, tmp_path, capsys):
     assert run_cli([*argv, "--out", str(tmp_path / target)]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    # verify prints its report lines only after the report is written
+    assert out == ""
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert err.startswith("teleswitch: error: cannot write output file")
 
@@ -317,6 +319,27 @@ def test_verify_out_with_full_stdout_leaves_no_file(linked, monkeypatch, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("teleswitch: error: cannot write to stdout")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["fom-scan", "--lambda", "1", "--format", "json", "--out", "t.json"], 4096),
+    # the main table fits under the limit and the surface table does not
+    (["region-map", "--out", "t.csv"], 65536),
+    (["verify", "--out", "t.json"], 4096),
+])
+def test_out_past_the_file_size_limit_leaves_no_file(argv, limit, tmp_path):
+    # only the child gets the limit; the interpreter ignores SIGXFSZ, so a
+    # write past it fails with EFBIG after part of the file is on disk
+    resource = pytest.importorskip("resource")
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    proc = _run_child(argv, capture_output=True, cwd=tmp_path, preexec_fn=limit_file_size)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("teleswitch: error: cannot write output file")
+    assert "Traceback" not in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_checks_the_out_path_before_running(monkeypatch, tmp_path, capsys):

@@ -20,6 +20,9 @@ calls of each stage:
 - merit_grid(three-path): the same default grid of OutcomeFamily3 against the
   uniform three-path control, the rows of the three-path phase scan (n = 3);
 - merit_grid(n=4): 256 random (Haar control, Gaussian outcome) rows at n = 4;
+- _emit_tables(region-map, csv), _emit_tables(region-map, json): the tables
+  of region-map at default flags, computed once, written by cli._emit_tables
+  to --out files in a temporary directory, as CSV (two files) and as JSON;
 - verify: verification.run_all's loop, with each check timed on its own.
 
 A round reports the median of its CALLS calls per stage, and the file holds,
@@ -34,8 +37,10 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -86,6 +91,16 @@ def worker():
     outcomes = rng.standard_normal((256, 24)) + 1j * rng.standard_normal((256, 24))
     stages["merit_grid(n=4)"] = lambda: analysis.merit_grid(controls, outcomes, 4)
 
+    emitted = []
+    with mock.patch.object(cli, "_emit_tables", lambda *args: emitted.append(args)):
+        cli.cmd_region_map(dict(cli.DEFAULTS))
+    cfg, command, params, tables = emitted[0]
+    written = tempfile.TemporaryDirectory()
+    for fmt in ("csv", "json"):
+        out = {**cfg, "format": fmt, "out": str(Path(written.name, f"region.{fmt}"))}
+        stages[f"_emit_tables(region-map, {fmt})"] = (
+            lambda out=out: cli._emit_tables(out, command, params, tables))
+
     def verify(spans):
         rng = np.random.default_rng(42)
         for check in verification.CHECKS:
@@ -97,6 +112,7 @@ def worker():
     for name, call in stages.items():
         call()
         medians[name] = _median_time(call)
+    written.cleanup()
     verify({})
     spans = {}
     medians["verify"] = _median_time(lambda: verify(spans))
