@@ -140,7 +140,6 @@ class OutcomeFamily2(_OutcomeFamily):
 
     lam: float
     phi: float
-    paths = 2
     _coeffs = np.array([0.0, 1.0])
 
 
@@ -150,7 +149,6 @@ class OutcomeFamily3(_OutcomeFamily):
 
     lam: float
     phi: float
-    paths = 3
     # lexicographic permutation parities for n=3: even at 0, 3, 4
     _coeffs = np.array([0.0, -1.0, -1.0, 0.0, 0.0, -1.0])
 
@@ -185,16 +183,14 @@ def _ratio_polynomials(w):
     return w[..., 0, :] + w[..., 1, :], w.sum(axis=-2)
 
 
-def fidelity_polynomials(control, outcome, n=None):
-    """Ascending coefficient arrays (num, den) with F(p) = num(p)/den(p).
+def fidelity_polynomials(control, outcome):
+    """Ascending coefficient arrays (num, den) of degree control.paths with F(p) = num(p)/den(p).
 
     den(p) is the outcome probability. Valid for pure system inputs; the
     three nonidentity weights coincide by Pauli relabeling, which makes the
     ratio input-independent.
     """
-    if n is None:
-        n = control.paths
-    return _ratio_polynomials(post_selected_polynomials(control, outcome, n))
+    return _ratio_polynomials(post_selected_polynomials(control, outcome))
 
 
 def _lhopital(num, den, p):
@@ -234,35 +230,36 @@ def evaluate_fidelity(num, den, ps):
     return _ratio(np.atleast_2d(num), np.atleast_2d(den), ps)[0][0]
 
 
-def _rows(controls, outcomes, n):
-    """(control amplitudes, normalized outcomes, n) of a stack of rows, broadcast and checked."""
+def _rows(controls, outcomes):
+    """(control amplitudes, normalized outcomes) of a stack of rows, checked and broadcast."""
     controls = [controls] if isinstance(controls, ControlState) else controls
     if not len(controls):
         raise ValueError("the control stack is empty")
     # a stack of mixed dimensions fails here, as an inhomogeneous array
     amps = np.array([c.amplitudes for c in controls])
-    amps, outcomes = np.broadcast_arrays(amps, normalize_state(np.atleast_2d(outcomes)))
-    n = controls[0].paths if n is None else n
-    if amps.ndim != 2 or amps.shape[1] != math.factorial(n):
-        raise ValueError("outcomes must be a (d,) vector or a (G, d) stack with d = n!")
-    return amps, outcomes, n
+    outcomes = normalize_state(np.atleast_2d(outcomes))
+    if outcomes.ndim != 2 or outcomes.shape[1] != amps.shape[1]:
+        raise ValueError("outcomes must be a (d,) vector or a (G, d) stack with the control's d")
+    return np.broadcast_arrays(amps, outcomes)
 
 
-def curve_grid(controls, outcomes, ps, n=None):
+def curve_grid(controls, outcomes, ps):
     """(F, 0/0 mask) of shape (G, len(ps)): post-selected fidelity of each row at each p.
 
     controls and outcomes broadcast to G rows as in merit_grid; a row does not
     depend on the others. A 0/0 point gets the L'Hopital limit, and an outcome
     that never fires raises DegenerateOutcomeError.
     """
-    amps, outcomes, n = _rows(controls, outcomes, n)
-    num, den = _ratio_polynomials(post_selected_weight_stack(amps * outcomes.conj(), n))
+    amps, outcomes = _rows(controls, outcomes)
+    num, den = _ratio_polynomials(post_selected_weight_stack(amps * outcomes.conj()))
     return _ratio(num, den, ps)
 
 
 def fidelity_profile(control, outcome, ps, n=None):
     """Post-selected fidelity at each p, continuous through isolated degeneracies."""
-    return curve_grid(control, outcome, ps, n)[0][0]
+    if n not in (None, control.paths):
+        raise ValueError(f"n = {n}, but the control fixes n = {control.paths}")
+    return curve_grid(control, outcome, ps)[0][0]
 
 
 # --------------------------------------------------------------------------
@@ -294,9 +291,9 @@ def _root_real_parts(g):
     return out
 
 
-def _merit_block(amps, outcomes, n):
+def _merit_block(amps, outcomes):
     """K for a block of (control amplitudes, normalized outcome) rows."""
-    num, den = _ratio_polynomials(post_selected_weight_stack(amps * outcomes.conj(), n))
+    num, den = _ratio_polynomials(post_selected_weight_stack(amps * outcomes.conj()))
     silent = np.max(np.abs(den), axis=1) < SILENT_PROB
     if silent.any():
         if amps.shape[1] != 2:
@@ -305,7 +302,7 @@ def _merit_block(amps, outcomes, n):
             )
         # the orthogonal complement fires with certainty; gamma = c * conj(complement)
         complement = np.stack([-outcomes[silent, 1], outcomes[silent, 0]], axis=1)
-        weights = post_selected_weight_stack(amps[silent] * complement, n)
+        weights = post_selected_weight_stack(amps[silent] * complement)
         num[silent], den[silent] = _ratio_polynomials(weights)
     # every root's real part becomes a cut: a cut at a point that is not a
     # crossing of F = 2/3 only splits a smooth piece, and roots outside the
@@ -327,29 +324,29 @@ def _merit_block(amps, outcomes, n):
     return (excess * half[..., None] * gl_weights).reshape(len(num), -1).sum(axis=1)
 
 
-def merit_grid(controls, outcomes, n=None):
+def merit_grid(controls, outcomes):
     """K = integral over p in [0, 1/3] of max(F(p) - 2/3, 0) for a stack of rows.
 
-    controls is one ControlState or a sequence of G of them; outcomes is one
-    (d,) vector or a (G, d) stack; the two broadcast to G rows and K has
-    shape (G,). A row's K does not depend on the other rows.
+    controls is one ControlState or a sequence of G, whose d = n! fixes n;
+    outcomes is one (d,) vector or a (G, d) stack; the two broadcast to G rows
+    and K has shape (G,). A row's K does not depend on the other rows.
 
     An outcome that never fires (probability identically zero) is replaced by
     its orthogonal complement when the control is two-dimensional, since the
     complement then fires with certainty; larger controls raise instead.
     """
-    amps, outcomes, n = _rows(controls, outcomes, n)
+    amps, outcomes = _rows(controls, outcomes)
     merits = np.empty(len(amps))
     for i in range(0, len(amps), _BLOCK_ROWS):
         block = slice(i, i + _BLOCK_ROWS)
-        merits[block] = _merit_block(amps[block], outcomes[block], n)
+        merits[block] = _merit_block(amps[block], outcomes[block])
     return merits
 
 
-def figure_of_merit(outcome, control, n=None):
+def figure_of_merit(outcome, control):
     """K = integral over p in [0, 1/3] of max(F(p) - 2/3, 0): merit_grid for one outcome."""
     outcome = outcome.vector() if hasattr(outcome, "vector") else outcome
-    return float(merit_grid(control, outcome, n)[0])
+    return float(merit_grid(control, outcome)[0])
 
 
 def no_switch_merit(n):
@@ -370,7 +367,7 @@ def k_total(control):
     if control.dim != 2:
         raise ValueError("k_total is defined for the two-path switch")
     # the joint fidelity has the weights of gamma = |c|^2, summed like num
-    w = post_selected_weight_stack(np.abs(control.amplitudes)[None] ** 2, 2)[0]
+    w = post_selected_weight_stack(np.abs(control.amplitudes)[None] ** 2)[0]
     return float(P.polyval(1 / 3, P.polyint(w[0] + w[1])))
 
 
@@ -400,5 +397,5 @@ def alpha_fidelity_profile(alphas, ps):
     no-switch triple-channel fidelity, and the point is flagged degenerate.
     """
     outcomes = [(a if hasattr(a, "vector") else AlphaOutcome(*a)).vector() for a in alphas]
-    fs, zero = curve_grid(uniform_control(3), outcomes, ps, 3)
+    fs, zero = curve_grid(uniform_control(3), outcomes, ps)
     return np.where(zero, no_switch_fidelity(ps, 3), fs), zero

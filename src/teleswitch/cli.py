@@ -232,7 +232,7 @@ def cmd_fidelity_curves(cfg):
     control = switch.control_qubit(cfg["q"])
     outcome, label = _outcome_vector(cfg)
     ps = _p_grid(cfg)
-    fs = analysis.fidelity_profile(control, outcome, ps, 2)
+    fs = analysis.fidelity_profile(control, outcome, ps)
     f1, f2 = channels.no_switch_fidelity(ps, 1), channels.no_switch_fidelity(ps, 2)
     values = [ps, f1, f2, fs, np.full(len(ps), 2 / 3)]
     names = ["p", "F1", "F2", f"F_switch_{label}", "classical_threshold"]
@@ -248,7 +248,7 @@ def cmd_region_map(cfg):
     qs = np.linspace(0.0, 1.0, 51)
     # q-major: one fidelity row per q
     controls = [switch.control_qubit(q) for q in qs]
-    fs = analysis.curve_grid(controls, OUTCOME_VECTORS["plus"], ps, 2)[0].ravel()
+    fs = analysis.curve_grid(controls, OUTCOME_VECTORS["plus"], ps)[0].ravel()
     tables = [
         ("", ["mu", "p_lo", "p_hi", "region2_exists"], [mus, *bounds, exists]),
         ("surface", ["p", "q", "F"], [np.tile(ps, len(qs)), np.repeat(qs, len(ps)), fs]),

@@ -310,14 +310,17 @@ def _folded_counts(n):
     return fold
 
 
-def post_selected_weight_stack(gamma, n):
+def post_selected_weight_stack(gamma):
     """Weights W[g, k] (ascending, degree n) for a (G, n!) stack gamma = c * conj(m).
 
-    W is bilinear in gamma. Each row is its own matrix-vector product with the
-    folded (exact, integer-valued) count tensor, so it does not depend on the
-    other rows.
+    gamma's width n! fixes n and must be 2, 6 or 24. W is bilinear in gamma.
+    Each row is its own matrix-vector product with the folded (exact,
+    integer-valued) count tensor, so it does not depend on the other rows.
     """
     gamma = np.asarray(gamma, dtype=complex)
+    if gamma.ndim != 2 or gamma.shape[1] not in _PATHS_BY_DIM:
+        raise ValueError(f"gamma must be a (G, d) stack with d = 2, 6 or 24, not {gamma.shape}")
+    n = _PATHS_BY_DIM[gamma.shape[1]]
     fold = _folded_counts(n)
     outer = (gamma[:, :, None] * gamma.conj()[:, None, :]).reshape(len(gamma), 1, -1)
     if not np.all(np.abs(outer.imag @ fold) <= IDENTITY_TOL):
@@ -325,13 +328,13 @@ def post_selected_weight_stack(gamma, n):
     return (outer.real @ fold).reshape(len(gamma), 4, n + 1)
 
 
-def post_selected_polynomials(control, outcome, n):
-    """Coefficients W[k] (ascending, degree n) of the post-selected state weights.
+def post_selected_polynomials(control, outcome):
+    """Coefficients W[k] (ascending, degree control.paths) of the post-selected state weights.
 
     The unnormalized state after post-selecting the outcome is
     sum_k W_k(p) sigma_k rho sigma_k; the outcome probability is sum_k W_k(p).
     """
     m = normalize_state(outcome)
-    if control.dim != math.factorial(n) or len(m) != control.dim:
-        raise ValueError("control/outcome dimensions must equal n!")
-    return post_selected_weight_stack((control.amplitudes * m.conj())[None], n)[0]
+    if len(m) != control.dim:
+        raise ValueError(f"outcome dimension {len(m)} != control dimension {control.dim}")
+    return post_selected_weight_stack((control.amplitudes * m.conj())[None])[0]

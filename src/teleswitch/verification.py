@@ -280,7 +280,7 @@ def polynomial_matches_brute_force(rng, size):
         ctrl = switch.uniform_control(n)
         outcome = switch.haar_random_state(math.factorial(n), rng)
         rho = _haar_density(rng)
-        for p, f in zip(ps, analysis.fidelity_profile(ctrl, outcome, ps, n)):
+        for p, f in zip(ps, analysis.fidelity_profile(ctrl, outcome, ps)):
             sel = switch.post_select(switch.switch_n(channels.isotropic_channel(p), n, rho, ctrl),
                                      outcome)
             dev = max(dev, abs(f - channels.qubit_fidelity(rho, sel.state)))
@@ -294,7 +294,7 @@ def three_path_alternating_outcome(_rng, _size):
     ps = np.array([0.0, 0.05, 0.1, 0.25, 1 / 3])
     (fs,), (zero,) = analysis.alpha_fidelity_profile([alt], ps)
     ctrl = switch.uniform_control(3)
-    _, den = analysis.fidelity_polynomials(ctrl, alt.vector(), 3)
+    _, den = analysis.fidelity_polynomials(ctrl, alt.vector())
     return {"linearity_dev": float(np.max(np.abs(fs - (1 / 3 + 2 * ps))[~zero])),
             "F(1/3)_dev": abs(fs[-1] - 1.0),
             "F(0)_is_flagged_1": float(not (zero[0] and fs[0] == 1.0)),

@@ -32,7 +32,7 @@ def test_switched_fidelity_spot_values():
 
 def test_switched_fidelity_matches_polynomial_ratio():
     for q in (0.0, 0.3, 0.5, 0.85, 1.0):
-        num, den = analysis.fidelity_polynomials(switch.control_qubit(q), [1, 1], 2)
+        num, den = analysis.fidelity_polynomials(switch.control_qubit(q), [1, 1])
         for p in (0.0, 0.12, 0.29, 1 / 3):
             got = analysis.evaluate_fidelity(num, den, p)[0]
             want = analysis.switched_fidelity(analysis.SwitchParams(p, q))
@@ -106,7 +106,7 @@ def test_evaluate_fidelity_uses_lhopital_at_removable_zero():
     # fidelity limit 1/3
     ctrl = switch.uniform_control(3)
     m = analysis.OutcomeFamily3(1.0, 0.0).vector()
-    num, den = analysis.fidelity_polynomials(ctrl, m, 3)
+    num, den = analysis.fidelity_polynomials(ctrl, m)
     assert abs(POLYVAL(0.0, den)) < 1e-14
     assert analysis.evaluate_fidelity(num, den, 0.0)[0] == pytest.approx(1 / 3, abs=1e-10)
 
@@ -116,14 +116,14 @@ def test_evaluate_fidelity_keeps_rare_outcomes_off_lhopital():
     # and there the switch reduces to plain composition: F = F2
     ps = np.linspace(0.0, 1 / 3, 7)
     control = switch.control_qubit(1 - 1e-12)
-    got = analysis.fidelity_profile(control, [0, 1], ps, 2)
+    got = analysis.fidelity_profile(control, [0, 1], ps)
     assert np.max(np.abs(got - channels.no_switch_fidelity(ps, 2))) < 1e-12
 
 
 def test_alternating_outcome_profile_is_linear():
     ctrl = switch.uniform_control(3)
     m = analysis.OutcomeFamily3(1.0, 0.0).vector()
-    num, den = analysis.fidelity_polynomials(ctrl, m, 3)
+    num, den = analysis.fidelity_polynomials(ctrl, m)
     for p in (0.01, 0.05, 0.1, 0.2, 1 / 3):
         got = analysis.evaluate_fidelity(num, den, p)[0]
         assert got == pytest.approx(1 / 3 + 2 * p, abs=1e-10)
@@ -193,9 +193,12 @@ def test_merit_grid_rows_match_single_outcomes():
         analysis.merit_grid(controls[0], [np.nan, 1.0])
     with pytest.raises(ValueError):
         analysis.merit_grid(controls[0], [0.0, 0.0])
-    # an empty or mixed-dimension control stack has no path count
+    # an empty or mixed-dimension control stack has no path count, and the
+    # outcomes must be one vector or a 2-D stack as wide as the controls
     mixed = [controls[0], switch.uniform_control(3)]
-    for stack, outcome in (([], [[1.0]]), ([], [1.0, 1.0]), (mixed, [1.0, 1.0])):
+    for stack, outcome in (([], [[1.0]]), ([], [1.0, 1.0]), (mixed, [1.0, 1.0]),
+                           (controls, [1.0, 0.0, 0.0]), (controls[0], np.ones(6)),
+                           (controls[0], [1.0]), (controls[0], np.ones((2, 2, 2)))):
         with pytest.raises(ValueError):
             analysis.merit_grid(stack, outcome)
         with pytest.raises(ValueError):
@@ -289,7 +292,7 @@ def test_alpha_fidelity_profile_flags_degenerate_points():
 def test_curve_grid_fills_zero_over_zero_points_with_the_limit():
     # outcome minus at q = 1/2: num = 2p^2 and den = 6p^2, so F is 1/3 and p = 0 is 0/0
     ps = np.array([0.0, 0.1, 1 / 3])
-    fs, zero = analysis.curve_grid(switch.control_qubit(0.5), [1, -1], ps, 2)
+    fs, zero = analysis.curve_grid(switch.control_qubit(0.5), [1, -1], ps)
     assert zero.tolist() == [[True, False, False]]
     assert np.allclose(fs, 1 / 3, rtol=0.0, atol=1e-12)
 
@@ -298,11 +301,11 @@ def test_curve_grid_blocks_the_p_axis_bit_for_bit(monkeypatch):
     # p runs downward, so the 0/0 point of minus at q = 1/2 (p = 0) sits in the last block
     ps = np.linspace(1 / 3, 0.0, 2 * analysis._BLOCK_POINTS + 3)
     controls = [switch.control_qubit(q) for q in (0.5, 0.3)]
-    fs, zero = analysis.curve_grid(controls, [1, -1], ps, 2)
+    fs, zero = analysis.curve_grid(controls, [1, -1], ps)
     assert list(zip(*np.nonzero(zero))) == [(0, len(ps) - 1)]
     assert fs[0, -1] == pytest.approx(1 / 3, abs=1e-12)
     monkeypatch.setattr(analysis, "_BLOCK_POINTS", len(ps))
-    whole_fs, whole_zero = analysis.curve_grid(controls, [1, -1], ps, 2)
+    whole_fs, whole_zero = analysis.curve_grid(controls, [1, -1], ps)
     assert np.array_equal(fs, whole_fs) and np.array_equal(zero, whole_zero)
 
 
@@ -311,7 +314,7 @@ def test_fidelity_profile_matches_brute_force_for_three_paths():
     ctrl = switch.uniform_control(3)
     m = switch.haar_random_state(6, rng)
     ps = np.array([0.06, 0.22, 0.31])
-    fs = analysis.fidelity_profile(ctrl, m, ps, 3)
+    fs = analysis.fidelity_profile(ctrl, m, ps)
     v = switch.haar_random_state(2, rng)
     rho = np.outer(v, v.conj())
     for p, f in zip(ps, fs):
@@ -326,9 +329,13 @@ def test_fidelity_profile_matches_brute_force_for_four_paths():
     m = switch.haar_random_state(24, rng)
     v = switch.haar_random_state(2, rng)
     rho = np.outer(v, v.conj())
-    f = analysis.fidelity_profile(ctrl, m, [0.2], 4)[0]
+    f = analysis.fidelity_profile(ctrl, m, [0.2])[0]
     sel = switch.post_select(switch.switch_n(channels.isotropic_channel(0.2), 4, rho, ctrl), m)
     assert f == pytest.approx(channels.qubit_fidelity(rho, sel.state), abs=1e-10)
+    # the control fixes the path count; a given n must agree with it
+    for wrong in (2, 3):
+        with pytest.raises(ValueError):
+            analysis.fidelity_profile(ctrl, m, [0.2], wrong)
 
 
 # --------------------------------------------------------------------------
@@ -348,16 +355,16 @@ _REF_AGREE = 1e-17
 _REF_MAX_PANELS = 2**12
 
 
-def _reference_polynomials(controls, outcomes, n):
+def _reference_polynomials(controls, outcomes):
     """(num, den) of each row; a qubit outcome that never fires takes its complement."""
-    amps, outcomes, n = analysis._rows(controls, outcomes, n)
+    amps, outcomes = analysis._rows(controls, outcomes)
     gamma = amps * outcomes.conj()
     silent = ~gamma.any(axis=1)
     if silent.any():
         # the orthogonal complement (-m1*, m0*) fires with certainty
         perp = np.stack([-outcomes[silent, 1].conj(), outcomes[silent, 0].conj()], axis=1)
         gamma[silent] = amps[silent] * perp.conj()
-    return analysis._ratio_polynomials(switch.post_selected_weight_stack(gamma, n))
+    return analysis._ratio_polynomials(switch.post_selected_weight_stack(gamma))
 
 
 def _reference_cuts(g):
@@ -382,9 +389,9 @@ def _reference_cuts(g):
     return np.sort([np.pad(c, (0, width - len(c)), constant_values=1 / 3) for c in cuts], axis=1)
 
 
-def _reference_merit(controls, outcomes, n):
+def _reference_merit(controls, outcomes):
     """K of each row; NaN where the doubled panels never agreed to _REF_AGREE."""
-    num, den = _reference_polynomials(controls, outcomes, n)
+    num, den = _reference_polynomials(controls, outcomes)
     cuts = _reference_cuts(num - analysis.CLASSICAL_THRESHOLD * den)
     merits = np.full(len(num), np.nan)
     active, previous, panels = np.arange(len(num)), None, 1
@@ -410,16 +417,16 @@ def _reference_merit(controls, outcomes, n):
 def _random_reference_rows(n, rng, rows=300):
     d = math.factorial(n)
     controls = [switch.ControlState(switch.haar_random_state(d, rng)) for _ in range(rows)]
-    return controls, rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d)), n
+    return controls, rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
 
 
 def _near_orthogonal_rows(n, rng):
     """Outcomes m = m_perp + delta c, nearly orthogonal to the control c: rare at small p."""
     deltas = np.repeat([0.0, 1e-9, 1e-6, 1e-3, 1e-1], 12)
-    controls, outcomes, _ = _random_reference_rows(n, rng, len(deltas))
+    controls, outcomes = _random_reference_rows(n, rng, len(deltas))
     amps = np.array([c.amplitudes for c in controls])
     perp = outcomes - np.sum(amps.conj() * outcomes, axis=1, keepdims=True) * amps
-    return controls, perp + deltas[:, None] * amps, n
+    return controls, perp + deltas[:, None] * amps
 
 
 def _alpha_rows():
@@ -427,7 +434,7 @@ def _alpha_rows():
     eps = np.logspace(-9, -1, 17)
     a3 = np.concatenate([-1 - eps, -1 + eps, [-1.0]])
     outcomes = [analysis.AlphaOutcome(-1, -1, a).vector() for a in a3]
-    return switch.uniform_control(3), np.array(outcomes), 3
+    return switch.uniform_control(3), np.array(outcomes)
 
 
 def _silent_rows():
@@ -436,7 +443,7 @@ def _silent_rows():
     controls = [switch.control_qubit(1.0)] * 7 + [switch.control_qubit(0.0)] * 7
     outcomes = np.concatenate([np.stack([0 * phis, np.exp(1j * phis)], axis=1),
                                np.stack([np.exp(1j * phis), 0 * phis], axis=1)])
-    return controls, outcomes, 2
+    return controls, outcomes
 
 
 _REFERENCE_ROWS = {
@@ -453,19 +460,19 @@ _REFERENCE_ROWS = {
 
 @pytest.mark.parametrize("name", list(_REFERENCE_ROWS))
 def test_merit_grid_matches_an_independent_reference(name):
-    controls, outcomes, n = _REFERENCE_ROWS[name]()
-    reference = _reference_merit(controls, outcomes, n)
+    controls, outcomes = _REFERENCE_ROWS[name]()
+    reference = _reference_merit(controls, outcomes)
     # NaN marks a row whose doubled panels never agreed
     assert not np.isnan(reference).any()
-    deviation = np.abs(analysis.merit_grid(controls, outcomes, n) - reference)
+    deviation = np.abs(analysis.merit_grid(controls, outcomes) - reference)
     assert deviation.max() < verification.MERIT
 
 
 def test_merit_reference_matches_closed_forms():
     half = switch.control_qubit(0.5)
-    plus, definite = _reference_merit(half, [[1.0, 1.0], [1.0, 0.0]], 2)
+    plus, definite = _reference_merit(half, [[1.0, 1.0], [1.0, 0.0]])
     assert plus == pytest.approx(_merit_plus_balanced_exact(), abs=1e-15)
     assert definite == pytest.approx(analysis.no_switch_merit(2), abs=1e-15)
     alternating = analysis.OutcomeFamily3(1.0, 0.0).vector()
-    assert _reference_merit(switch.uniform_control(3), alternating, 3)[0] == pytest.approx(
+    assert _reference_merit(switch.uniform_control(3), alternating)[0] == pytest.approx(
         1 / 36, abs=1e-15)

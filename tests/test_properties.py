@@ -51,7 +51,7 @@ def test_curve_rows_match_their_one_row_calls(n, rows, seed):
         one, one_zero = analysis.curve_grid(controls[i], outcomes[i], ps)
         assert np.array_equal(one[0], fs[i]) and np.array_equal(one_zero[0], zero[i])
         # the stack normalizes each outcome as the one-outcome polynomials do
-        num, den = analysis.fidelity_polynomials(controls[i], outcomes[i], n)
+        num, den = analysis.fidelity_polynomials(controls[i], outcomes[i])
         assert np.array_equal(analysis.evaluate_fidelity(num, den, ps), fs[i])
 
 
@@ -65,7 +65,7 @@ def test_polynomial_route_matches_brute_route(n, seed, p):
     (control,), outcomes = _random_rows(n, 1, seed)
     psi = switch.haar_random_state(2, seed)
     rho = np.outer(psi, psi.conj())
-    num, den = analysis.fidelity_polynomials(control, outcomes[0], n)
+    num, den = analysis.fidelity_polynomials(control, outcomes[0])
     prob = np.polynomial.polynomial.polyval(p, den)
     # F = num/den loses digits as the outcome probability goes to zero
     hypothesis.assume(prob > 1e-6)
@@ -73,7 +73,7 @@ def test_polynomial_route_matches_brute_route(n, seed, p):
     selected = switch.post_select(joint, outcomes[0])
     fidelity = channels.qubit_fidelity(rho, selected.state)
     assert abs(selected.probability - prob) < 1e-12
-    assert abs(fidelity - analysis.fidelity_profile(control, outcomes[0], p, n)[0]) < 1e-10
+    assert abs(fidelity - analysis.fidelity_profile(control, outcomes[0], p)[0]) < 1e-10
     assert -1e-12 <= fidelity <= 1 + 1e-12
 
 
@@ -92,7 +92,7 @@ def test_outcome_probabilities_over_a_basis_sum_to_one(n, seed, p):
     joint = switch.switch_n(channels.isotropic_channel(p), n, np.outer(psi, psi.conj()), control)
     probs = [np.trace(switch.project_outcome(joint, m)).real for m in basis.T]
     assert abs(sum(probs) - 1.0) < 1e-12
-    dens = sum(analysis.fidelity_polynomials(control, m, n)[1] for m in basis.T)
+    dens = sum(analysis.fidelity_polynomials(control, m)[1] for m in basis.T)
     assert np.allclose(dens, np.eye(1, n + 1)[0], rtol=0.0, atol=1e-12)
 
 

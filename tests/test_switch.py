@@ -337,7 +337,7 @@ def test_polynomials_match_brute_force_three_paths():
         joint = switch.switch_n(ch, 3, rho, ctrl)
         for m in outcomes:
             brute = switch.project_outcome(joint, m)
-            coeffs = switch.post_selected_polynomials(ctrl, m, 3)
+            coeffs = switch.post_selected_polynomials(ctrl, m)
             weights = [np.polynomial.polynomial.polyval(p, c) for c in coeffs]
             poly = sum(
                 w * (s @ rho @ s) for w, s in zip(weights, channels.PAULI)
@@ -349,9 +349,9 @@ def test_polynomial_weights_equal_for_nonidentity_paulis():
     # sigma_x, sigma_y, sigma_z weights coincide, which makes the
     # post-selected fidelity independent of the input state
     rng = np.random.default_rng(22)
-    for n, ctrl in ((2, switch.control_qubit(0.37)), (3, switch.uniform_control(3))):
+    for ctrl in (switch.control_qubit(0.37), switch.uniform_control(3)):
         m = switch.haar_random_state(ctrl.dim, rng)
-        w = switch.post_selected_polynomials(ctrl, m, n)
+        w = switch.post_selected_polynomials(ctrl, m)
         assert np.max(np.abs(w[1] - w[2])) < 1e-12
         assert np.max(np.abs(w[1] - w[3])) < 1e-12
 
@@ -443,11 +443,15 @@ def test_post_selected_weights_use_a_cached_read_only_fold():
                           switch.pauli_basis_monomials(n)).reshape(d * d, 4 * (n + 1))
         outer = (gamma[:, :, None] * gamma.conj()[:, None, :]).reshape(5, 1, -1)
         expected = (outer.real @ fresh).reshape(5, 4, n + 1)
-        assert np.array_equal(switch.post_selected_weight_stack(gamma, n), expected)
+        assert np.array_equal(switch.post_selected_weight_stack(gamma), expected)
         fold = switch._folded_counts(n)
         assert fold is switch._folded_counts(n)
         assert not fold.flags.writeable
         assert np.array_equal(fold, fresh)
+    # gamma's width fixes the path count, so it must be 2, 6 or 24 on a 2-D stack
+    for gamma in (np.ones((5, 3)), np.ones((5, 5)), np.ones(6)):
+        with pytest.raises(ValueError):
+            switch.post_selected_weight_stack(gamma)
 
 
 def test_haar_random_state_is_seeded_and_normalized():

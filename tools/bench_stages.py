@@ -19,7 +19,8 @@ calls of each stage:
   180 phases of OutcomeFamily2, n = 2), built from the grid as the CLI does;
 - merit_grid(three-path): the same default grid of OutcomeFamily3 against the
   uniform three-path control, the rows of the three-path phase scan (n = 3);
-- merit_grid(n=4): 256 random (Haar control, Gaussian outcome) rows at n = 4;
+- merit_grid(n=4): 256 random (Haar control, Gaussian outcome) rows at n = 4,
+  the path count read from the 24-dimensional controls;
 - _emit_tables(region-map, csv), _emit_tables(region-map, json): the tables
   of region-map at default flags, computed once, written by cli._emit_tables
   to --out files in a temporary directory, as CSV (two files) and as JSON;
@@ -89,7 +90,7 @@ def worker():
     rng = np.random.default_rng(17)
     controls = [switch.ControlState(switch.haar_random_state(24, rng)) for _ in range(256)]
     outcomes = rng.standard_normal((256, 24)) + 1j * rng.standard_normal((256, 24))
-    stages["merit_grid(n=4)"] = lambda: analysis.merit_grid(controls, outcomes, 4)
+    stages["merit_grid(n=4)"] = lambda: analysis.merit_grid(controls, outcomes)
 
     emitted = []
     with mock.patch.object(cli, "_emit_tables", lambda *args: emitted.append(args)):
