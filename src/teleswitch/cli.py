@@ -152,13 +152,37 @@ def _output(paths=()):
 
 
 def _write_csv(handle, names, values):
-    # one row format per table, %.12g for a float column and %s for any other,
-    # so each block of rows is a single % call
-    row = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in values) + "\r\n"
+    # the columns broadcast to one (blocks, rows) shape, where blocks of one row
+    # each are one block; a block's row format holds %.12g for a float column
+    # and %s for any other, so CSV_BLOCK_ROWS rows of a block are one % call
+    columns = [np.atleast_2d(column) for column in values]
+    blocks, rows = np.broadcast_shapes((1, 1), *(column.shape for column in columns))
+    if rows == 1:
+        columns = [column.reshape(1, -1) for column in columns]
+        blocks, rows = 1, blocks
+    fields = []  # per column: its text in the row format, per block or for every block
+    parts = []  # per column formatted cell by cell: its cells, per block or for every block
+    for column in columns:
+        spec = "%.12g" if column.dtype.kind == "f" else "%s"
+        if column.shape[1] == 1:
+            # constant along the rows: literal text, formatted once per block
+            fields.append([(spec % v).replace("%", "%%") for v in _cells(column[:, 0])])
+        elif len(column) < blocks:
+            # shared by every block: its cells formatted once per table
+            fields.append(["%s"])
+            parts.append([[spec % v for v in _cells(column[0])]])
+        else:
+            fields.append([spec])
+            parts.append(column)
     handle.write(",".join(map(_quoted, names)) + "\r\n")
-    for start in range(0, len(values[0]), CSV_BLOCK_ROWS):
-        cells = [_cells(column[start:start + CSV_BLOCK_ROWS]) for column in values]
-        handle.write(row * len(cells[0]) % tuple(itertools.chain.from_iterable(zip(*cells))))
+    for block in range(blocks):
+        row = ",".join([field[block % len(field)] for field in fields]) + "\r\n"
+        sources = [part[block % len(part)] for part in parts]
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, rows)
+            cells = [source[start:stop] if isinstance(source, list)
+                     else _cells(source[start:stop]) for source in sources]
+            handle.write(row * (stop - start) % tuple(itertools.chain.from_iterable(zip(*cells))))
 
 
 def _write_json(handle, payload):
@@ -169,9 +193,13 @@ def _emit_tables(cfg, command, params, tables):
     """Write tables given as columns.
 
     tables: list of (suffix, column names, column values), where the values
-    are one equal-length 1-D array per name and suffix '' names the main
-    table. A CSV table is formatted and written CSV_BLOCK_ROWS rows at a time,
-    one file per table; JSON rows are built from the columns, into one file.
+    are one array per name and suffix '' names the main table. A table's
+    columns broadcast to one (blocks, rows) shape, its rows running block by
+    block; a 1-D column is one block. So a column constant along the rows is
+    (blocks, 1) or 0-d, and a column every block shares is (rows,) or
+    (1, rows): each such cell is formatted once, not once per row. A CSV table
+    is written one file per table, CSV_BLOCK_ROWS rows of a block at a time;
+    JSON rows are built from the broadcast columns, into one file.
     """
     out = cfg.get("out")
     if cfg["format"] == "json":
@@ -181,7 +209,8 @@ def _emit_tables(cfg, command, params, tables):
             "tables": {
                 suffix or "main": {
                     "columns": list(names),
-                    "rows": list(zip(*([_json_value(v) for v in c.tolist()] for c in values))),
+                    "rows": list(zip(*([_json_value(v) for v in c.ravel().tolist()]
+                                       for c in np.broadcast_arrays(*values)))),
                 }
                 for suffix, names, values in tables
             },
@@ -191,6 +220,8 @@ def _emit_tables(cfg, command, params, tables):
         if len(tables) > 1 and not out:
             raise UsageError("this command writes multiple CSV tables; --out is required")
         base = Path(out or "")
+        if len(tables) > 1 and not base.name:
+            raise UsageError(f"out must name a file, got {out!r}")
         paths = [base.with_name(f"{base.stem}_{suffix}{base.suffix}") if suffix else base
                  for suffix, _, _ in tables]
         writes = [functools.partial(_write_csv, names=names, values=values)
@@ -234,7 +265,7 @@ def cmd_fidelity_curves(cfg):
     ps = _p_grid(cfg)
     fs = analysis.fidelity_profile(control, outcome, ps)
     f1, f2 = channels.no_switch_fidelity(ps, 1), channels.no_switch_fidelity(ps, 2)
-    values = [ps, f1, f2, fs, np.full(len(ps), 2 / 3)]
+    values = [ps, f1, f2, fs, np.array(2 / 3)]
     names = ["p", "F1", "F2", f"F_switch_{label}", "classical_threshold"]
     _emit_tables(cfg, "fidelity-curves", {"q": cfg["q"], "outcome": label}, [("", names, values)])
 
@@ -248,10 +279,10 @@ def cmd_region_map(cfg):
     qs = np.linspace(0.0, 1.0, 51)
     # q-major: one fidelity row per q
     controls = [switch.control_qubit(q) for q in qs]
-    fs = analysis.curve_grid(controls, OUTCOME_VECTORS["plus"], ps)[0].ravel()
+    fs = analysis.curve_grid(controls, OUTCOME_VECTORS["plus"], ps)[0]
     tables = [
         ("", ["mu", "p_lo", "p_hi", "region2_exists"], [mus, *bounds, exists]),
-        ("surface", ["p", "q", "F"], [np.tile(ps, len(qs)), np.repeat(qs, len(ps)), fs]),
+        ("surface", ["p", "q", "F"], [ps, qs[:, None], fs]),
     ]
     _emit_tables(cfg, "region-map", {"p_step": cfg["p_step"]}, tables)
 
@@ -267,7 +298,7 @@ def cmd_fom_scan(cfg):
     lams, phis = _scan_grids(cfg)
     ks = analysis.merit_grid(control, analysis.OutcomeFamily2.grid(lams, phis))
     # lambda-major, like the grid
-    values = [np.repeat(lams, len(phis)), np.tile(phis, len(lams)), ks]
+    values = [lams[:, None], phis, ks.reshape(len(lams), len(phis))]
     _emit_tables(cfg, "fom-scan", {"q": cfg["q"]}, [("", ["lambda", "phi", "K"], values)])
 
 
@@ -276,10 +307,10 @@ def cmd_tradeoff(cfg):
     controls = [switch.control_qubit(q) for q in qs]
     # q-major, then one row per outcome label
     labels = list(OUTCOME_VECTORS)
-    k_totals = np.repeat([analysis.k_total(control) for control in controls], len(labels))
+    k_totals = np.array([[analysis.k_total(control)] for control in controls])
     rows = [control for control in controls for _ in labels]
     ks = analysis.merit_grid(rows, np.tile(list(OUTCOME_VECTORS.values()), (len(qs), 1)))
-    values = [np.repeat(qs, len(labels)), k_totals, ks, np.tile(labels, len(qs))]
+    values = [qs[:, None], k_totals, ks.reshape(len(qs), len(labels)), np.array(labels)]
     _emit_tables(cfg, "tradeoff", {}, [("", ["q", "K_total", "K", "outcome_label"], values)])
 
 
@@ -296,8 +327,7 @@ def cmd_three_path(cfg):
         lams, phis = _scan_grids(cfg)
         ks = analysis.merit_grid(switch.uniform_control(3), analysis.OutcomeFamily3.grid(lams, phis))
         # phi-major: the transpose of the lambda-major grid
-        ks = ks.reshape(len(lams), len(phis)).T.ravel()
-        values = [np.repeat(phis, len(lams)), np.tile(lams, len(phis)), ks]
+        values = [phis[:, None], lams, ks.reshape(len(lams), len(phis)).T]
         tables = [("", ["phi", "lambda", "K"], values)]
         _emit_tables(cfg, "three-path", {"mode": "phase-scan"}, tables)
         return

@@ -97,11 +97,18 @@ def test_region_map_requires_out_for_csv(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("out", [".", "/"])
+def test_region_map_out_without_a_file_name_is_usage_error(out, capsys):
+    # the surface table's file name is derived from the --out file name
+    assert run_cli(["region-map", "--out", out]) == 1
+    assert capsys.readouterr().err == f"teleswitch: error: out must name a file, got {out!r}\n"
+
+
 def test_region_map_writes_two_tables(tmp_path, monkeypatch):
     emitted = {}
 
     def capture(cfg, command, params, tables):
-        emitted.update((suffix, values) for suffix, _, values in tables)
+        emitted.update((suffix, _raveled(values)) for suffix, _, values in tables)
         emit(cfg, command, params, tables)
 
     emit = cli._emit_tables
@@ -119,6 +126,11 @@ def test_region_map_writes_two_tables(tmp_path, monkeypatch):
     # the surface comes from the polynomial route; the paper's closed form checks it
     for p, q, f in zip(*emitted["surface"]):
         assert abs(f - analysis.switched_fidelity(analysis.SwitchParams(p, q))) < 1e-13
+
+
+def _raveled(values):
+    """A table's broadcast columns as equal-length 1-D columns, rows in the order written."""
+    return [column.ravel() for column in np.broadcast_arrays(*values)]
 
 
 def _fmt(value):
@@ -160,12 +172,10 @@ def test_block_writer_matches_row_writer(argv, tmp_path, monkeypatch):
     assert run_cli([*argv, "--out", str(out)]) == 0
     for suffix, names, values in emitted:
         path = tmp_path / f"t_{suffix}.csv" if suffix else out
-        assert path.read_bytes() == _row_writer_bytes(names, values)
+        assert path.read_bytes() == _row_writer_bytes(names, _raveled(values))
     if argv[0] == "region-map":
-        # several full blocks and a partial last one
-        rows = len(emitted[1][2][0])
-        assert rows == 51 * 335
-        assert rows > 2 * cli.CSV_BLOCK_ROWS and rows % cli.CSV_BLOCK_ROWS
+        # one block of p per q, with p shared and q constant along each block
+        assert [v.shape for v in emitted[1][2]] == [(335,), (51, 1), (51, 335)]
     if argv[0] == "three-path":
         assert b'"F(-1,-1,-1)"' in out.read_bytes()
 
@@ -196,13 +206,23 @@ def _synthetic_table(rows):
     return names, values
 
 
+def _broadcast_table(rows):
+    """Blocks of rows: a per-block literal with format characters, a 0-d cell,
+    a column every block shares and full (blocks, rows) columns."""
+    _, values = _synthetic_table(rows)
+    labels = np.array(["50%", "%s", 'say "hi"', "a,b"])[:, None]
+    cells = np.stack([values[0], -values[0], values[0][::-1], np.roll(values[0], 1)])
+    return (["label", "third", "p", "F", "F > 0"],
+            [labels, np.array(1 / 3), values[0], cells, cells > 0])
+
+
 @pytest.mark.parametrize("rows", [1, 2 * cli.CSV_BLOCK_ROWS, 2 * cli.CSV_BLOCK_ROWS + 1])
 def test_block_writer_matches_row_writer_on_a_synthetic_table(rows, tmp_path):
-    names, values = _synthetic_table(rows)
-    out = tmp_path / "t.csv"
-    with open(out, "w", newline="") as handle:
-        cli._write_csv(handle, names, values)
-    assert out.read_bytes() == _row_writer_bytes(names, values)
+    for names, values in (_synthetic_table(rows), _broadcast_table(rows)):
+        out = tmp_path / "t.csv"
+        with open(out, "w", newline="") as handle:
+            cli._write_csv(handle, names, values)
+        assert out.read_bytes() == _row_writer_bytes(names, _raveled(values))
 
 
 def test_three_path_degenerate_column_joins_flagged_labels_per_p(tmp_path, monkeypatch):

@@ -86,6 +86,7 @@ COMMANDS = [
     ["three-path", "--alpha", "1,2"],
     ["verify", "--seed", "-1"],
     ["region-map"],
+    ["region-map", "--out", "."],
     ["fidelity-curves", "--out", "missing-dir/curves.csv"],
     ["fidelity-curves", "--config", "absent.json"],
     *(["fidelity-curves", "--config", name] for name in CONFIGS),

@@ -24,6 +24,8 @@ calls of each stage:
 - _emit_tables(region-map, csv), _emit_tables(region-map, json): the tables
   of region-map at default flags, computed once, written by cli._emit_tables
   to --out files in a temporary directory, as CSV (two files) and as JSON;
+- _emit_tables(region-map 1e-4, csv), _emit_tables(fidelity-curves 1e-4, csv):
+  the same for region-map and fidelity-curves at --p-step 1e-4, as CSV;
 - verify: verification.run_all's loop, with each check timed on its own.
 
 A round reports the median of its CALLS calls per stage, and the file holds,
@@ -92,15 +94,20 @@ def worker():
     outcomes = rng.standard_normal((256, 24)) + 1j * rng.standard_normal((256, 24))
     stages["merit_grid(n=4)"] = lambda: analysis.merit_grid(controls, outcomes)
 
-    emitted = []
-    with mock.patch.object(cli, "_emit_tables", lambda *args: emitted.append(args)):
-        cli.cmd_region_map(dict(cli.DEFAULTS))
-    cfg, command, params, tables = emitted[0]
     written = tempfile.TemporaryDirectory()
-    for fmt in ("csv", "json"):
-        out = {**cfg, "format": fmt, "out": str(Path(written.name, f"region.{fmt}"))}
-        stages[f"_emit_tables(region-map, {fmt})"] = (
-            lambda out=out: cli._emit_tables(out, command, params, tables))
+    for label, command, flags, fmts in [
+        ("region-map", cli.cmd_region_map, {}, ("csv", "json")),
+        ("region-map 1e-4", cli.cmd_region_map, {"p_step": 1e-4}, ("csv",)),
+        ("fidelity-curves 1e-4", cli.cmd_fidelity_curves, {"p_step": 1e-4}, ("csv",)),
+    ]:
+        emitted = []
+        with mock.patch.object(cli, "_emit_tables", lambda *args: emitted.append(args)):
+            command({**cli.DEFAULTS, **flags})
+        cfg, *args = emitted[0]
+        for fmt in fmts:
+            out = {**cfg, "format": fmt, "out": str(Path(written.name, f"{len(stages)}.{fmt}"))}
+            stages[f"_emit_tables({label}, {fmt})"] = (
+                lambda out=out, args=args: cli._emit_tables(out, *args))
 
     def verify(spans):
         rng = np.random.default_rng(42)
