@@ -5,6 +5,8 @@ superposition of causal orders, post-selects on control measurement outcomes,
 and quantifies the resulting fidelity advantage over definite-order use of the
 same channels.
 """
+import importlib
+
 from .analysis import (
     AdvantageRegions,
     AlphaOutcome,
@@ -56,6 +58,14 @@ from .switch import (
     switch_two,
     uniform_control,
 )
-from .verification import CheckResult, run_all
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """CheckResult, run_all and the verification module, imported on first use."""
+    if name in ("CheckResult", "run_all", "verification"):
+        # import_module, since `from . import` would look the name up here again
+        verification = importlib.import_module(f"{__name__}.verification")
+        return verification if name == "verification" else getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

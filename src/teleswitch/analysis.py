@@ -4,8 +4,9 @@ The post-selected fidelity of an isotropic n-path switch is a ratio
 F = num/den of degree-n polynomials in the noise weight p (see
 switch.post_selected_polynomials), so every quantity here reduces to
 polynomial arithmetic. The figure of merit integrates max(F - 2/3, 0) over
-p in [0, 1/3]: its kinks are the roots of num - (2/3) den, found as companion
-matrix eigenvalues, and each smooth piece between them takes one fixed
+p in [0, 1/3]: its kinks are the roots of num - (2/3) den, in closed form for
+two and three paths (a quadratic and a deflated cubic) and as companion matrix
+eigenvalues for four, and each smooth piece between them takes one fixed
 12-node Gauss-Legendre rule. There is no adaptive refinement; merit_grid runs
 this for a whole stack of outcomes at once.
 """
@@ -178,7 +179,7 @@ class AlphaOutcome:
 
 def _ratio_polynomials(w):
     """(num, den) from weights w[..., k, :], checking the nonidentity weights agree."""
-    if not np.allclose(w[..., 2:, :], w[..., 1:2, :], atol=IDENTITY_TOL):
+    if not np.all(np.abs(w[..., 2:, :] - w[..., 1:2, :]) <= IDENTITY_TOL):
         raise InvariantError("nonidentity weights differ; input independence lost")
     return w[..., 0, :] + w[..., 1, :], w.sum(axis=-2)
 
@@ -267,22 +268,78 @@ def fidelity_profile(control, outcome, ps, n=None):
 # --------------------------------------------------------------------------
 
 
+def _quadratic_real_parts(a, b, c):
+    """(m, 2) real parts of the roots of a x^2 + b x + c, each row by the
+    cancellation-free formula: q = -(b + sign(b) sqrt(disc)) / 2 gives the roots
+    q/a and c/q (both 0 when q = 0), and a complex pair gives -b/2a twice."""
+    disc = b * b - 4 * a * c
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.stack([q / a, np.where(q != 0, c / q, 0.0)], axis=1)
+    return np.where((disc < 0)[:, None], (-0.5 * b / a)[:, None], roots)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _cubic_real_parts(a, b, c, d):
+    """(m, 3) real parts of the roots of a x^3 + b x^2 + c x + d, each row in closed form.
+
+    One real root r of the monic x^3 + A x^2 + B x + C comes from Cardano's
+    formula when the cubic has one real root, else it is the trigonometric root
+    of largest magnitude; two Newton steps polish it. Deflating r leaves the
+    quadratic x^2 + e x + f: backward (f = -C/r, e = (f - B)/r) when
+    |r|^3 > |C|, so a far root does not swamp the small ones, and forward
+    (e = A + r, f = B + r e) otherwise, which takes r = 0 when C = 0. The
+    quadratic takes _quadratic_real_parts.
+    """
+    A, B, C = b / a, c / a, d / a
+    # depressed cubic t^3 + s t + h = 0 in t = x + A/3
+    shift = A / 3
+    s = B - A * shift
+    h = C - shift * (B - 2 * shift * shift)
+    disc = (h / 2) ** 2 + (s / 3) ** 3
+    u = np.cbrt(-h / 2 - np.copysign(np.sqrt(np.maximum(disc, 0.0)), h))
+    cardano = u - s / (3 * u)
+    m = np.sqrt(np.maximum(-s / 3, 0.0))
+    angle = np.arccos(np.minimum(np.abs(h) / (2 * m**3), 1.0)) / 3
+    trigonometric = np.where(m > 0, np.copysign(2 * m * np.cos(angle), -h), 0.0)
+    r = np.where(disc > 0, cardano, trigonometric) - shift
+    value = ((r + A) * r + B) * r + C
+    for _ in range(2):
+        # a step is kept only where it shrinks |value|: at a multiple root the
+        # slope is rounding noise and a full step would throw r off
+        step = r - value / ((3 * r + 2 * A) * r + B)
+        step_value = ((step + A) * step + B) * step + C
+        better = np.abs(step_value) < np.abs(value)
+        r, value = np.where(better, step, r), np.where(better, step_value, value)
+    backward = np.abs(r) ** 3 > np.abs(C)
+    f = np.where(backward, -C / r, B + r * (A + r))
+    e = np.where(backward, (f - B) / r, A + r)
+    return np.column_stack([r, _quadratic_real_parts(np.ones_like(e), e, f)])
+
+
 def _root_real_parts(g):
     """Real parts of the roots of each row of g (ascending), padded with zeros.
 
-    Rows of full degree share one batched companion-matrix eigenvalue call;
-    rows that drop a degree are trimmed and solved one by one.
+    Rows of full degree 2 or 3 are solved in closed form (_quadratic_real_parts,
+    _cubic_real_parts), all rows at once; rows of full degree 4 share one
+    batched companion-matrix eigenvalue call. Rows that drop a degree are
+    trimmed and solved one by one.
     """
     rows, deg = g.shape[0], g.shape[1] - 1
     out = np.zeros((rows, deg))
     big = np.abs(g) > DEGREE_DROP * np.max(np.abs(g), axis=1, keepdims=True)
     full = big[:, -1]
     if full.any():
-        companion = np.zeros((int(full.sum()), deg, deg))
-        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-        companion[:, :, -1] = -g[full, :-1] / g[full, -1:]
-        # rotated like numpy's polyroots, which reduces the rounding error
-        out[full] = np.linalg.eigvals(companion[:, ::-1, ::-1]).real
+        if deg == 2:
+            out[full] = _quadratic_real_parts(*g[full, ::-1].T)
+        elif deg == 3:
+            out[full] = _cubic_real_parts(*g[full, ::-1].T)
+        else:
+            companion = np.zeros((int(full.sum()), deg, deg))
+            companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+            companion[:, :, -1] = -g[full, :-1] / g[full, -1:]
+            # rotated like numpy's polyroots, which reduces the rounding error
+            out[full] = np.linalg.eigvals(companion[:, ::-1, ::-1]).real
     for i in np.nonzero(~full)[0]:
         kept = np.flatnonzero(big[i])
         if kept.size and kept[-1] > 0:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, channels, linalg, switch, verification
+from . import analysis, channels, linalg, switch
 
 DEFAULTS = {
     "q": 0.5,
@@ -202,6 +202,9 @@ def _emit_tables(cfg, command, params, tables):
     JSON rows are built from the broadcast columns, into one file.
     """
     out = cfg.get("out")
+    # Path(out) would drop the slash and write a file where a directory was named
+    if out and out.endswith(("/", os.sep)):
+        raise UsageError(f"out must name a file, got {out!r}")
     if cfg["format"] == "json":
         payload = {
             "command": command,
@@ -345,6 +348,9 @@ def cmd_three_path(cfg):
 
 
 def cmd_verify(cfg):
+    # imported here, since no other command needs the checks
+    from . import verification
+
     out = cfg.get("out")
     # the output is opened first, so an unwritable path fails before the checks
     # run; the report is flushed before its lines go to stdout, and lines that

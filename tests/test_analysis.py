@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from teleswitch import analysis, channels, switch, verification
+from teleswitch import analysis, channels, linalg, switch, verification
 from teleswitch.linalg import normalize_state
 
 POLYVAL = np.polynomial.polynomial.polyval
@@ -339,6 +339,104 @@ def test_fidelity_profile_matches_brute_force_for_four_paths():
 
 
 # --------------------------------------------------------------------------
+# kinks in closed form
+# --------------------------------------------------------------------------
+#
+# _root_real_parts solves full-degree quadratics and cubics in closed form.
+# Each family below compares the sorted real parts with those of numpy's
+# polyroots, on the roots that can become cuts of [0, 1/3] (those in
+# [-0.1, 0.5]) where far roots are present.
+
+
+def _polyroots_real_parts(g):
+    return np.array([np.sort(np.polynomial.polynomial.polyroots(row).real) for row in g])
+
+
+def _closed_form_real_parts(g):
+    solve = analysis._quadratic_real_parts if g.shape[1] == 3 else analysis._cubic_real_parts
+    return np.sort(solve(*g[:, ::-1].T), axis=1)
+
+
+def _from_roots(roots):
+    """Ascending real coefficients with the given roots, scaled to a largest coefficient of 1."""
+    g = np.array([np.polynomial.polynomial.polyfromroots(r).real for r in roots])
+    return g / np.max(np.abs(g), axis=1, keepdims=True)
+
+
+def _near_interval(values):
+    return (values >= -0.1) & (values <= 0.5)
+
+
+@pytest.mark.parametrize("deg", [2, 3])
+def test_closed_form_roots_match_polyroots_on_random_coefficients(deg):
+    g = np.random.default_rng(2500 + deg).standard_normal((2000, deg + 1))
+    expected = _polyroots_real_parts(g)
+    got = _closed_form_real_parts(g)
+    assert np.all(np.abs(got - expected) <= 1e-11 * np.maximum(1.0, np.abs(expected)))
+    assert np.array_equal(np.sort(analysis._root_real_parts(g), axis=1), got)
+
+
+def test_closed_form_cubic_matches_polyroots_on_three_small_roots():
+    roots = np.random.default_rng(2510).uniform(-0.1, 0.5, (2000, 3))
+    g = _from_roots(roots)
+    assert np.abs(_closed_form_real_parts(g) - _polyroots_real_parts(g)).max() < 1e-9
+
+
+@pytest.mark.parametrize("far", [1e2, 1e4, 1e6, 1e8, 1e10])
+def test_closed_form_cubic_deflates_a_far_real_root(far):
+    # the leading coefficient is ~1/far of the largest, above DEGREE_DROP, so
+    # every row takes the closed form; plain Cardano loses the small roots here
+    rng = np.random.default_rng(2520)
+    roots = np.column_stack([rng.uniform(-0.1, 0.5, (500, 2)), far * rng.choice([-1.0, 1.0], 500)])
+    g = _from_roots(roots)
+    assert np.all(np.abs(g[:, -1]) > linalg.DEGREE_DROP)
+    got = np.sort(analysis._root_real_parts(g), axis=1)
+    expected = _polyroots_real_parts(g)
+    near = _near_interval(expected)
+    assert near.sum() == 1000
+    assert np.abs(got - expected)[near].max() < 1e-10
+
+
+@pytest.mark.parametrize("far", [1e3, 1e5, 1e7, 1e9])
+def test_closed_form_cubic_deflates_a_far_complex_pair(far):
+    rng = np.random.default_rng(2530)
+    pair = far * np.exp(1j * rng.uniform(0.0, math.pi, 500))
+    g = _from_roots(np.column_stack([rng.uniform(-0.1, 0.5, 500), pair, pair.conj()]))
+    got, expected = _closed_form_real_parts(g), _polyroots_real_parts(g)
+    near = _near_interval(expected)
+    assert near.sum() >= 500
+    assert np.abs(got - expected)[near].max() < 1e-11
+
+
+@pytest.mark.parametrize("pattern, tol", [([0, 0], 1e-15), ([0, 0, 1], 1e-6), ([0, 0, 0], 1e-5)])
+def test_closed_form_multiple_roots_are_as_accurate_as_polyroots(pattern, tol):
+    # a double root is known to ~sqrt(eps), a triple one to ~eps^(1/3), either way;
+    # the quadratic formula finds an exact double root exactly
+    exact = np.random.default_rng(2540 + len(pattern)).uniform(0.0, 1 / 3, (500, 2))[:, pattern]
+    g, exact = _from_roots(exact), np.sort(exact, axis=1)
+    closed = np.abs(_closed_form_real_parts(g) - exact).max()
+    assert closed < tol
+    assert closed <= max(np.abs(_polyroots_real_parts(g) - exact).max(), 1e-15)
+
+
+def test_closed_form_quadratic_edge_cases():
+    g = np.array([
+        [0.0, 0.0, 2.0],    # q = 0: a double root at 0
+        [0.0, 0.0, -1e-3],
+        [1.0, 0.0, 1.0],    # disc < 0: the pair's real part -b/2a
+        [5.0, -2.0, 1.0],
+        [1.0, 3.0, 2.0],    # b > 0: q = -(b + sqrt(disc))/2 keeps its digits
+        [-2.0, 0.0, 2.0],
+    ])
+    assert _closed_form_real_parts(g).tolist() == [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                                   [1.0, 1.0], [-1.0, -0.5], [-1.0, 1.0]]
+    pairs = np.random.default_rng(2550).uniform(-1.0, 1.0, (500, 2)) @ [[1, 1], [1j, -1j]]
+    g = _from_roots(pairs)
+    assert np.all(g[:, 1] ** 2 < 4 * g[:, 0] * g[:, 2])
+    assert np.abs(_closed_form_real_parts(g) - _polyroots_real_parts(g)).max() < 1e-15
+
+
+# --------------------------------------------------------------------------
 # an independent merit reference
 # --------------------------------------------------------------------------
 #
@@ -446,6 +544,59 @@ def _silent_rows():
     return controls, outcomes
 
 
+def _orthogonal_rows(rng, rows=12):
+    """Qubit rows whose outcome is orthogonal to the control, so num - (2/3) den = g2 p^2.
+
+    At n = 2, g = g0 (1 - 12p) + g2 p^2 has a double root at p = 0 (g0 = 0, these
+    rows) or at p = 1/6 (g2 = 36 g0), which the fom-scan grids never reach: on
+    them g2 <= 30 g0.
+    """
+    controls = [switch.ControlState(switch.haar_random_state(2, rng)) for _ in range(rows)]
+    amps = np.array([c.amplitudes for c in controls])
+    return controls, np.stack([-amps[:, 1].conj(), amps[:, 0].conj()], axis=1)
+
+
+def _kink_polynomials(controls, outcomes):
+    num, den = _reference_polynomials(controls, outcomes)
+    return num - analysis.CLASSICAL_THRESHOLD * den
+
+
+def _cubic_discriminant(g):
+    d, c, b, a = g.T
+    return 18 * a * b * c * d - 4 * b**3 * d + (b * c) ** 2 - 4 * a * c**3 - 27 * (a * d) ** 2
+
+
+def _double_root_rows(rng, rows=12, pool=20000):
+    """Three-path rows whose num - (2/3) den has a double root inside (0, 1/3).
+
+    g = num - (2/3) den is positive at p = 0 and falls there. An outcome whose g
+    crosses 0 three times in [0, 1/3] moves along a segment toward one whose g
+    has a complex pair and is negative at 1/3, and bisection of the cubic's
+    discriminant stops where two real roots merge. Rows whose merged pair lies
+    outside (0, 1/3) are dropped.
+    """
+    control = switch.uniform_control(3)
+    outcomes = rng.standard_normal((pool, 6)) + 1j * rng.standard_normal((pool, 6))
+    g = _kink_polynomials(control, outcomes)
+    sign = np.sign(POLYVAL(_REF_GRID[::16], g.T))
+    crossings = np.sum(sign[:, :-1] != sign[:, 1:], axis=1)
+    start = np.repeat(outcomes[crossings == 3], 4, axis=0)
+    end = np.resize(outcomes[(_cubic_discriminant(g) < 0) & (sign[:, -1] < 0)], start.shape)
+    lo, hi = np.zeros(len(start)), np.ones(len(start))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        moved = start + mid[:, None] * (end - start)
+        three = _cubic_discriminant(_kink_polynomials(control, moved)) > 0
+        lo, hi = np.where(three, mid, lo), np.where(three, hi, mid)
+    outcomes = start + lo[:, None] * (end - start)
+    roots = np.sort_complex([np.polynomial.polynomial.polyroots(row)
+                             for row in _kink_polynomials(control, outcomes)])
+    merged = ((np.abs(np.diff(roots, axis=1)) < 1e-6)
+              & (roots[:, 1:].real > 0) & (roots[:, 1:].real < 1 / 3)).any(axis=1)
+    assert merged.sum() >= rows
+    return control, outcomes[merged][:rows]
+
+
 _REFERENCE_ROWS = {
     "random-n2": lambda: _random_reference_rows(2, np.random.default_rng(1702)),
     "random-n3": lambda: _random_reference_rows(3, np.random.default_rng(1703)),
@@ -455,6 +606,8 @@ _REFERENCE_ROWS = {
     "near-orthogonal-n4": lambda: _near_orthogonal_rows(4, np.random.default_rng(1714)),
     "alpha-near-alternating": _alpha_rows,
     "silent-n2": _silent_rows,
+    "double-root-n2": lambda: _orthogonal_rows(np.random.default_rng(1722)),
+    "double-root-n3": lambda: _double_root_rows(np.random.default_rng(1723)),
 }
 
 

@@ -362,9 +362,40 @@ def test_out_past_the_file_size_limit_leaves_no_file(argv, limit, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_merit_commands_of_two_and_three_paths_never_call_eigvals(monkeypatch, capsys):
+    # their kinks are quadratic and cubic roots, found in closed form
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    for argv in (["fom-scan"], ["three-path", "--lambda", "1"], ["tradeoff"], ["coherence-scan"]):
+        assert run_cli(argv) == 0, argv
+    capsys.readouterr()
+    lams, phis = [0.0, 0.5, 1.0, 2.0], np.linspace(0.0, 2 * math.pi, 9)
+    for control, family in ((switch.control_qubit(0.3), analysis.OutcomeFamily2),
+                            (switch.uniform_control(3), analysis.OutcomeFamily3)):
+        analysis.optimize_outcome(control, family, lams, phis)
+    # four paths still take the batched eigenvalue call
+    with pytest.raises(AssertionError, match="eigvals called"):
+        analysis.merit_grid(switch.uniform_control(4), np.ones(24))
+
+
+def test_only_verify_imports_the_checks():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, teleswitch.cli; print('teleswitch.verification' in sys.modules); "
+            "import teleswitch; print(teleswitch.run_all is teleswitch.verification.run_all, "
+            "teleswitch.CheckResult is teleswitch.verification.CheckResult)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == ["False", "True", "True"]
+    import teleswitch
+    with pytest.raises(AttributeError, match="no attribute 'run_al'"):
+        teleswitch.run_al
+
+
 def test_verify_checks_the_out_path_before_running(monkeypatch, tmp_path, capsys):
     calls = []
-    monkeypatch.setattr(cli.verification, "run_all", lambda seed: calls.append(seed) or [])
+    monkeypatch.setattr(verification, "run_all", lambda seed: calls.append(seed) or [])
     assert run_cli(["verify", "--out", str(tmp_path / "missing" / "x.json")]) == 1
     assert calls == []
     assert capsys.readouterr().err.startswith("teleswitch: error: cannot write output file")
@@ -624,7 +655,7 @@ def test_verify_is_byte_identical_across_runs(tmp_path):
 
 def test_verify_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(
-        cli.verification,
+        verification,
         "run_all",
         lambda seed: [verification.CheckResult("forced", False, "synthetic")],
     )

@@ -57,6 +57,13 @@ def _tie(x):
     return best == (0.0, 0.0)
 
 
+def _unit_weights(x):
+    """Weights W_k = 1 + p + p^2 (k = 0..3), with x added to W_2's constant term."""
+    w = np.ones((4, 3))
+    w[2, 0] += x
+    return w
+
+
 # (floor, accepted(x): whether the rule lets x through, x inside and outside the edge in
 # units of the floor); a value is accepted on one side of the edge and refused on the other
 EDGES = [
@@ -92,6 +99,8 @@ EDGES = [
      2, 0.5),
     ("ZERO_DEN", lambda x: not analysis._ratio(np.array([[0.0, 1.0]]), np.array([[x, 1.0]]),
                                                [0.0])[1][0, 0], 2, 0.5),
+    # O(1) weights: the floor is absolute, with no share of |w| added to it
+    ("IDENTITY_TOL", lambda x: _accepts(analysis._ratio_polynomials, _unit_weights(x)), 0.5, 2),
 ]
 
 
@@ -105,3 +114,8 @@ def test_floor_edge(name, accepted, inside, outside):
     floor = getattr(linalg, name)
     assert accepted(inside * floor)
     assert not accepted(outside * floor)
+
+
+def test_identity_check_refuses_o1_weights_two_floors_apart():
+    with pytest.raises(switch.InvariantError, match="nonidentity weights differ"):
+        analysis._ratio_polynomials(_unit_weights(2 * linalg.IDENTITY_TOL))

@@ -87,6 +87,8 @@ COMMANDS = [
     ["verify", "--seed", "-1"],
     ["region-map"],
     ["region-map", "--out", "."],
+    ["region-map", "--out", "d/"],
+    ["fidelity-curves", "--out", "e/"],
     ["fidelity-curves", "--out", "missing-dir/curves.csv"],
     ["fidelity-curves", "--config", "absent.json"],
     *(["fidelity-curves", "--config", name] for name in CONFIGS),

@@ -21,6 +21,9 @@ calls of each stage:
   uniform three-path control, the rows of the three-path phase scan (n = 3);
 - merit_grid(n=4): 256 random (Haar control, Gaussian outcome) rows at n = 4,
   the path count read from the 24-dimensional controls;
+- _root_real_parts(fom-scan), _root_real_parts(three-path): kink location
+  alone on the two grids above: num - (2/3) den of every row, built once,
+  solved _BLOCK_ROWS rows at a time as merit_grid's blocks are;
 - _emit_tables(region-map, csv), _emit_tables(region-map, json): the tables
   of region-map at default flags, computed once, written by cli._emit_tables
   to --out files in a temporary directory, as CSV (two files) and as JSON;
@@ -89,6 +92,19 @@ def worker():
         half, analysis.OutcomeFamily2.grid(lams, phis))
     stages["merit_grid(three-path)"] = lambda: analysis.merit_grid(
         three, analysis.OutcomeFamily3.grid(lams, phis))
+
+    def kink_blocks(controls, outcomes):
+        amps, outcomes = analysis._rows(controls, outcomes)
+        weights = switch.post_selected_weight_stack(amps * outcomes.conj())
+        num, den = analysis._ratio_polynomials(weights)
+        g = num - analysis.CLASSICAL_THRESHOLD * den
+        return [g[i:i + analysis._BLOCK_ROWS] for i in range(0, len(g), analysis._BLOCK_ROWS)]
+
+    for label, paths, family in (("fom-scan", half, analysis.OutcomeFamily2),
+                                 ("three-path", three, analysis.OutcomeFamily3)):
+        blocks = kink_blocks(paths, family.grid(lams, phis))
+        stages[f"_root_real_parts({label})"] = lambda blocks=blocks: [
+            analysis._root_real_parts(block) for block in blocks]
     rng = np.random.default_rng(17)
     controls = [switch.ControlState(switch.haar_random_state(24, rng)) for _ in range(256)]
     outcomes = rng.standard_normal((256, 24)) + 1j * rng.standard_normal((256, 24))
