@@ -21,6 +21,7 @@ from .analysis import (
     fidelity_profile,
     figure_of_merit,
     k_total,
+    k_total_grid,
     l1_coherence,
     merit_grid,
     no_switch_merit,

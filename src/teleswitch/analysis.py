@@ -1,14 +1,18 @@
 """Closed-form fidelities, advantage regions, figures of merit, and outcome search.
 
 The post-selected fidelity of an isotropic n-path switch is a ratio
-F = num/den of degree-n polynomials in the noise weight p (see
-switch.post_selected_polynomials), so every quantity here reduces to
-polynomial arithmetic. The figure of merit integrates max(F - 2/3, 0) over
-p in [0, 1/3]: its kinks are the roots of num - (2/3) den, in closed form for
-two and three paths (a quadratic and a deflated cubic) and as companion matrix
-eigenvalues for four, and each smooth piece between them takes one fixed
-12-node Gauss-Legendre rule. There is no adaptive refinement; merit_grid runs
-this for a whole stack of outcomes at once.
+F = num/den of degree-n polynomials in the noise weight p, so every quantity
+here reduces to polynomial arithmetic. num and den come from one route,
+switch.post_selected_weight_stack, in Gram form: squared overlaps |s . gamma|^2
+of gamma = c * conj(m) with the branch sign vectors s, folded with integer
+counts, so den(0) = |<m|c>|^2 keeps its digits however small it is. The figure
+of merit integrates max(F - 2/3, 0) over p in [0, 1/3]: its kinks are the
+roots of g = num - (2/3) den, in closed form for two and three paths (a
+quadratic and a deflated cubic) and as companion matrix eigenvalues for four,
+and each smooth piece between them takes one fixed 12-node Gauss-Legendre
+rule, with g and den evaluated at every node in one Horner pass and
+F - 2/3 = g/den. There is no adaptive refinement; merit_grid runs this for a
+whole stack of outcomes at once.
 """
 import math
 from dataclasses import dataclass
@@ -18,16 +22,9 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .channels import _check_p, _check_q, no_switch_fidelity, no_switch_threshold
-from .linalg import (DEGREE_DROP, IDENTITY_TOL, LHOPITAL_ZERO, MERIT_TIE, RANGE_SLACK, SILENT_PROB,
-                     ZERO_DEN, normalize_state)
-from .switch import (
-    ControlState,
-    DegenerateOutcomeError,
-    InvariantError,
-    post_selected_polynomials,
-    post_selected_weight_stack,
-    uniform_control,
-)
+from .linalg import (DEGREE_DROP, LHOPITAL_ZERO, MERIT_TIE, RANGE_SLACK, SILENT_PROB, ZERO_DEN,
+                     normalize_state)
+from .switch import ControlState, DegenerateOutcomeError, post_selected_weight_stack, uniform_control
 
 CLASSICAL_THRESHOLD = 2 / 3
 
@@ -108,10 +105,14 @@ def advantage_regions(mu):
 
 
 def l1_coherence(state):
-    """Sum of absolute off-diagonal entries of |psi><psi| in the computational basis."""
+    """Sum of absolute off-diagonal entries of |psi><psi| in the computational basis.
+
+    A (G, d) stack gives one value per row, each equal to its own one-state call.
+    """
     v = normalize_state(state)
-    rho = np.outer(v, v.conj())
-    return float(np.sum(np.abs(rho)) - np.sum(np.abs(np.diag(rho))))
+    rho = np.abs(v[..., :, None] * v.conj()[..., None, :])
+    coherence = np.sum(rho, axis=(-2, -1)) - np.sum(np.diagonal(rho, axis1=-2, axis2=-1), axis=-1)
+    return float(coherence) if coherence.ndim == 0 else coherence
 
 
 # --------------------------------------------------------------------------
@@ -177,21 +178,16 @@ class AlphaOutcome:
 # --------------------------------------------------------------------------
 
 
-def _ratio_polynomials(w):
-    """(num, den) from weights w[..., k, :], checking the nonidentity weights agree."""
-    if not np.all(np.abs(w[..., 2:, :] - w[..., 1:2, :]) <= IDENTITY_TOL):
-        raise InvariantError("nonidentity weights differ; input independence lost")
-    return w[..., 0, :] + w[..., 1, :], w.sum(axis=-2)
-
-
 def fidelity_polynomials(control, outcome):
     """Ascending coefficient arrays (num, den) of degree control.paths with F(p) = num(p)/den(p).
 
     den(p) is the outcome probability. Valid for pure system inputs; the
     three nonidentity weights coincide by Pauli relabeling, which makes the
-    ratio input-independent.
+    ratio input-independent. The one-row case of curve_grid's polynomials.
     """
-    return _ratio_polynomials(post_selected_polynomials(control, outcome))
+    amps, outcomes = _rows(control, outcome)
+    num, den = post_selected_weight_stack(amps * outcomes.conj())
+    return num[0], den[0]
 
 
 def _lhopital(num, den, p):
@@ -231,13 +227,25 @@ def evaluate_fidelity(num, den, ps):
     return _ratio(np.atleast_2d(num), np.atleast_2d(den), ps)[0][0]
 
 
-def _rows(controls, outcomes):
-    """(control amplitudes, normalized outcomes) of a stack of rows, checked and broadcast."""
+def _amplitudes(controls):
+    """(G, d) amplitudes of one ControlState, a sequence of G, or a (G, d) array.
+
+    An array's rows are normalized as ControlState normalizes its amplitudes.
+    """
+    if isinstance(controls, np.ndarray):
+        if controls.ndim != 2:
+            raise ValueError("control amplitudes must be a (G, d) array")
+        return normalize_state(controls)
     controls = [controls] if isinstance(controls, ControlState) else controls
     if not len(controls):
         raise ValueError("the control stack is empty")
     # a stack of mixed dimensions fails here, as an inhomogeneous array
-    amps = np.array([c.amplitudes for c in controls])
+    return np.array([c.amplitudes for c in controls])
+
+
+def _rows(controls, outcomes):
+    """(control amplitudes, normalized outcomes) of a stack of rows, checked and broadcast."""
+    amps = _amplitudes(controls)
     outcomes = normalize_state(np.atleast_2d(outcomes))
     if outcomes.ndim != 2 or outcomes.shape[1] != amps.shape[1]:
         raise ValueError("outcomes must be a (d,) vector or a (G, d) stack with the control's d")
@@ -252,7 +260,7 @@ def curve_grid(controls, outcomes, ps):
     that never fires raises DegenerateOutcomeError.
     """
     amps, outcomes = _rows(controls, outcomes)
-    num, den = _ratio_polynomials(post_selected_weight_stack(amps * outcomes.conj()))
+    num, den = post_selected_weight_stack(amps * outcomes.conj())
     return _ratio(num, den, ps)
 
 
@@ -317,6 +325,20 @@ def _cubic_real_parts(a, b, c, d):
     return np.column_stack([r, _quadratic_real_parts(np.ones_like(e), e, f)])
 
 
+def _full_degree_real_parts(g):
+    """(m, deg) real parts of the roots of rows g whose leading coefficient is nonzero."""
+    deg = g.shape[1] - 1
+    if deg == 2:
+        return _quadratic_real_parts(*g[:, ::-1].T)
+    if deg == 3:
+        return _cubic_real_parts(*g[:, ::-1].T)
+    companion = np.zeros((len(g), deg, deg))
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    companion[:, :, -1] = -g[:, :-1] / g[:, -1:]
+    # rotated like numpy's polyroots, which reduces the rounding error
+    return np.linalg.eigvals(companion[:, ::-1, ::-1]).real
+
+
 def _root_real_parts(g):
     """Real parts of the roots of each row of g (ascending), padded with zeros.
 
@@ -326,20 +348,13 @@ def _root_real_parts(g):
     trimmed and solved one by one.
     """
     rows, deg = g.shape[0], g.shape[1] - 1
-    out = np.zeros((rows, deg))
     big = np.abs(g) > DEGREE_DROP * np.max(np.abs(g), axis=1, keepdims=True)
     full = big[:, -1]
+    if full.all():
+        return _full_degree_real_parts(g)
+    out = np.zeros((rows, deg))
     if full.any():
-        if deg == 2:
-            out[full] = _quadratic_real_parts(*g[full, ::-1].T)
-        elif deg == 3:
-            out[full] = _cubic_real_parts(*g[full, ::-1].T)
-        else:
-            companion = np.zeros((int(full.sum()), deg, deg))
-            companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-            companion[:, :, -1] = -g[full, :-1] / g[full, -1:]
-            # rotated like numpy's polyroots, which reduces the rounding error
-            out[full] = np.linalg.eigvals(companion[:, ::-1, ::-1]).real
+        out[full] = _full_degree_real_parts(g[full])
     for i in np.nonzero(~full)[0]:
         kept = np.flatnonzero(big[i])
         if kept.size and kept[-1] > 0:
@@ -350,7 +365,7 @@ def _root_real_parts(g):
 
 def _merit_block(amps, outcomes):
     """K for a block of (control amplitudes, normalized outcome) rows."""
-    num, den = _ratio_polynomials(post_selected_weight_stack(amps * outcomes.conj()))
+    num, den = post_selected_weight_stack(amps * outcomes.conj())
     silent = np.max(np.abs(den), axis=1) < SILENT_PROB
     if silent.any():
         if amps.shape[1] != 2:
@@ -359,33 +374,39 @@ def _merit_block(amps, outcomes):
             )
         # the orthogonal complement fires with certainty; gamma = c * conj(complement)
         complement = np.stack([-outcomes[silent, 1], outcomes[silent, 0]], axis=1)
-        weights = post_selected_weight_stack(amps[silent] * complement)
-        num[silent], den[silent] = _ratio_polynomials(weights)
-    # every root's real part becomes a cut: a cut at a point that is not a
-    # crossing of F = 2/3 only splits a smooth piece, and roots outside the
-    # interval clip to its ends and give empty pieces
-    kinks = np.clip(_root_real_parts(num - CLASSICAL_THRESHOLD * den), 0.0, 1 / 3)
-    ends = np.zeros((len(num), 1))
-    cuts = np.sort(np.hstack([ends, kinks, ends + 1 / 3]), axis=1)
+        num[silent], den[silent] = post_selected_weight_stack(amps[silent] * complement)
+    # F - 2/3 = g / den with the kink polynomial g = num - (2/3) den. Every root's
+    # real part becomes a cut: a cut at a point that is not a crossing of F = 2/3
+    # only splits a smooth piece, and roots outside the interval clip to its ends
+    # and give empty pieces
+    g = num - CLASSICAL_THRESHOLD * den
+    kinks = np.sort(np.clip(_root_real_parts(g), 0.0, 1 / 3), axis=1)
+    ends = np.zeros((len(g), 1))
+    cuts = np.hstack([ends, kinks, ends + 1 / 3])
     half = 0.5 * (cuts[:, 1:] - cuts[:, :-1])
     gl_nodes, gl_weights = _gauss_legendre(_GL_POINTS)
     nodes = (cuts[:, :-1] + half)[..., None] + half[..., None] * gl_nodes
+    # g and den at every node in one Horner pass over the stacked coefficients
+    coeffs = np.stack([g, den])[..., None, None]
+    values = np.empty((2,) + nodes.shape)
+    values[...] = coeffs[:, :, -1]
+    for j in range(coeffs.shape[2] - 2, -1, -1):
+        values *= nodes
+        values += coeffs[:, :, j]
     with np.errstate(divide="ignore", invalid="ignore"):
-        excess = (
-            P.polyval(nodes, num.T[..., None, None], tensor=False)
-            / P.polyval(nodes, den.T[..., None, None], tensor=False)
-            - CLASSICAL_THRESHOLD
-        )
-    # an empty piece may sit on a 0/0 end point; its nodes carry no weight
+        excess = values[0] / values[1]
+    # an empty piece may sit on a 0/0 end point; its nodes carry no weight. np.where
+    # keeps a -0.0 excess out of the sum, which np.maximum would let through
     excess = np.where((half[..., None] > 0) & (excess > 0), excess, 0.0)
-    return (excess * half[..., None] * gl_weights).reshape(len(num), -1).sum(axis=1)
+    return (excess * half[..., None] * gl_weights).reshape(len(g), -1).sum(axis=1)
 
 
 def merit_grid(controls, outcomes):
     """K = integral over p in [0, 1/3] of max(F(p) - 2/3, 0) for a stack of rows.
 
-    controls is one ControlState or a sequence of G, whose d = n! fixes n;
-    outcomes is one (d,) vector or a (G, d) stack; the two broadcast to G rows
+    controls is one ControlState, a sequence of G or a (G, d) amplitude array
+    (normalized per row), whose d = n! fixes n; outcomes is one (d,) vector or
+    a (G, d) stack; the two broadcast to G rows
     and K has shape (G,). A row's K does not depend on the other rows.
 
     An outcome that never fires (probability identically zero) is replaced by
@@ -417,15 +438,21 @@ def no_switch_merit(n):
     return float(P.polyval(no_switch_threshold(n), P.polyint(excess)))
 
 
+def k_total_grid(controls):
+    """k_total of each two-path control of a stack (a ControlState, a sequence or an array)."""
+    amps = _amplitudes(controls)
+    if amps.shape[1] != 2:
+        raise ValueError("k_total is defined for the two-path switch")
+    # the joint fidelity has the weights of gamma = |c|^2, summed like num
+    num, _ = post_selected_weight_stack(np.abs(amps) ** 2)
+    return P.polyval(1 / 3, P.polyint(num, axis=1).T)
+
+
 def k_total(control):
     """Integral over p of the joint fidelity between rho o rho_c and the
     pre-measurement switch output, for pure system and control states.
     """
-    if control.dim != 2:
-        raise ValueError("k_total is defined for the two-path switch")
-    # the joint fidelity has the weights of gamma = |c|^2, summed like num
-    w = post_selected_weight_stack(np.abs(control.amplitudes)[None] ** 2)[0]
-    return float(P.polyval(1 / 3, P.polyint(w[0] + w[1])))
+    return float(k_total_grid(control)[0])
 
 
 def optimize_outcome(control, family, lambdas, phis):

@@ -273,6 +273,11 @@ def cmd_fidelity_curves(cfg):
     _emit_tables(cfg, "fidelity-curves", {"q": cfg["q"], "outcome": label}, [("", names, values)])
 
 
+def _qubit_controls(qs):
+    """(G, 2) amplitudes (sqrt(q), sqrt(1 - q)) of control_qubit(q) for each q of a grid."""
+    return np.sqrt(np.stack([qs, 1 - qs], axis=1))
+
+
 def cmd_region_map(cfg):
     mus = np.linspace(0.0, 0.5, 101)
     regions = [analysis.advantage_regions(mu) for mu in mus]
@@ -281,8 +286,7 @@ def cmd_region_map(cfg):
     ps = _p_grid(cfg)
     qs = np.linspace(0.0, 1.0, 51)
     # q-major: one fidelity row per q
-    controls = [switch.control_qubit(q) for q in qs]
-    fs = analysis.curve_grid(controls, OUTCOME_VECTORS["plus"], ps)[0]
+    fs = analysis.curve_grid(_qubit_controls(qs), OUTCOME_VECTORS["plus"], ps)[0]
     tables = [
         ("", ["mu", "p_lo", "p_hi", "region2_exists"], [mus, *bounds, exists]),
         ("surface", ["p", "q", "F"], [ps, qs[:, None], fs]),
@@ -307,22 +311,34 @@ def cmd_fom_scan(cfg):
 
 def cmd_tradeoff(cfg):
     qs = np.linspace(0.5, 1.0, 21)
-    controls = [switch.control_qubit(q) for q in qs]
+    controls = _qubit_controls(qs)
     # q-major, then one row per outcome label
     labels = list(OUTCOME_VECTORS)
-    k_totals = np.array([[analysis.k_total(control)] for control in controls])
-    rows = [control for control in controls for _ in labels]
+    rows = np.repeat(controls, len(labels), axis=0)
     ks = analysis.merit_grid(rows, np.tile(list(OUTCOME_VECTORS.values()), (len(qs), 1)))
+    k_totals = analysis.k_total_grid(controls)[:, None]
     values = [qs[:, None], k_totals, ks.reshape(len(qs), len(labels)), np.array(labels)]
     _emit_tables(cfg, "tradeoff", {}, [("", ["q", "K_total", "K", "outcome_label"], values)])
 
 
 def cmd_coherence_scan(cfg):
-    controls = [switch.control_qubit(q) for q in np.linspace(1.0, 0.5, 41)]
-    coherence = np.array([analysis.l1_coherence(c.amplitudes) for c in controls])
+    controls = _qubit_controls(np.linspace(1.0, 0.5, 41))
+    coherence = analysis.l1_coherence(controls)
     ks = analysis.merit_grid(controls, OUTCOME_VECTORS["plus"])
     tables = [("", ["coherence", "K_optimal"], [coherence, ks])]
     _emit_tables(cfg, "coherence-scan", {"outcome": "plus"}, tables)
+
+
+def _degenerate_column(labels, zero):
+    """Per p, the labels of the profiles flagged degenerate there, joined by ';'.
+
+    zero is the (len(labels), P) mask. Each p's mask column becomes one integer
+    code, a bit per profile, and each distinct code is joined once.
+    """
+    bits = 1 << np.arange(len(labels))
+    codes, inverse = np.unique(bits @ zero, return_inverse=True)
+    joined = [";".join(label for label, bit in zip(labels, bits) if code & bit) for code in codes]
+    return np.array(joined)[inverse]
 
 
 def cmd_three_path(cfg):
@@ -337,13 +353,9 @@ def cmd_three_path(cfg):
     alphas = (analysis.AlphaOutcome(*cfg["alpha"]),) if cfg.get("alpha") else CAPTION_ALPHAS
     ps = _p_grid(cfg)
     fs, zero = analysis.alpha_fidelity_profile(alphas, ps)
-    labels = np.array([a.label() for a in alphas])
-    # the labels of the profiles flagged degenerate, joined once per distinct
-    # mask pattern; the inverse's shape varies across numpy 2.0.x, so ravel it
-    patterns, inverse = np.unique(zero.T, axis=0, return_inverse=True)
-    degenerate = np.array([";".join(labels[flags]) for flags in patterns])[inverse.ravel()]
+    labels = [a.label() for a in alphas]
     names = ["p", *(f"F{label}" for label in labels), "F3_no_switch", "degenerate"]
-    values = [ps, *fs, channels.no_switch_fidelity(ps, 3), degenerate]
+    values = [ps, *fs, channels.no_switch_fidelity(ps, 3), _degenerate_column(labels, zero)]
     _emit_tables(cfg, "three-path", {"mode": "alpha-profile"}, [("", names, values)])
 
 

@@ -16,7 +16,6 @@ STATE_NORM_TOL = 1e-12      # a state vector with a smaller norm is zero
 WEIGHT_SUM_TOL = 1e-9       # a channel's Pauli weights sum to 1
 RANGE_SLACK = 1e-12         # a p, mu, Pauli weight or p-grid end this far past its range's end
 DET_CLAMP = 1e-14           # |det| of a qubit state at an exact zero (a pure state)
-IDENTITY_TOL = 1e-12        # an exact identity of the polynomial route, up to rounding
 DEGREE_DROP = 1e-12         # a leading coefficient, relative to the largest: the degree dropped
 LHOPITAL_ZERO = 1e-9        # a derivative of den, relative to den's largest coefficient, is 0
 MERIT_TIE = 1e-15           # a merit within this of the best ties with it

@@ -25,6 +25,14 @@ every branch, in different orders, so branch products differ only by signs.
 That reduces every post-selected state to sum_k W_k(p) sigma_k rho sigma_k
 with W_k a degree-n polynomial in p; the polynomial route is exact and fast
 and is cross-checked against the brute route in the tests.
+
+The polynomial route is in Gram form. Grouping the Kraus tuples by their
+branch sign vector s writes the signed count tensor as a sum of squares,
+B[k, :, :, z] = sum_s M[s, k, z] s s^T with integer M >= 0, so with
+gamma = c * conj(m) every weight is W_k = sum_s M[s, k, .] |s . gamma|^2.
+The route computes the overlaps s . gamma and folds their squares with M and
+the Pauli-basis monomials into the numerator and denominator of the fidelity;
+both identities are checked exactly, in integers, when the fold is built.
 """
 import math
 from dataclasses import dataclass
@@ -35,8 +43,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .channels import PAULI, _check_p, _check_q
-from .linalg import (DEGENERATE_PROB, IDENTITY_TOL, assert_density_matrix, normalize_state,
-                     partial_trace)
+from .linalg import DEGENERATE_PROB, assert_density_matrix, normalize_state, partial_trace
 
 SUPPORTED_PATHS = (2, 3, 4)
 
@@ -250,19 +257,14 @@ _PROD_K = np.abs(_OVERLAPS).argmax(axis=-1).astype(np.int8)
 _PROD_T = (np.rint(np.angle(_OVERLAPS.sum(axis=-1)) * 2 / np.pi) % 4).astype(np.int8)
 
 
-@lru_cache(maxsize=None)
-def branch_pair_weight_counts(n):
-    """Signed tuple counts B[k, a, b, z] for the isotropic n-path switch.
+def _tuple_signs(n):
+    """(k, s, z) of every Kraus tuple of the isotropic n-path switch.
 
-    For Kraus tuple i with z zeros, every branch product equals (phase) sigma_k
-    with a common k; the relative branch phase is +-1. Summing the signs per
-    (outcome Pauli k, branch pair (a, b), zero count z) gives integer counts
-    such that the pairwise super-operator weights are
-
-        w_k^{ab}(p) = sum_z B[k, a, b, z] (1-3p)^z p^(n-z).
+    For Kraus tuple i every branch product equals (phase) sigma_k with a common
+    k[i]; branch a's phase relative to branch 0 is s[i, a] = +-1, and z[i]
+    counts the tuple's identity factors.
     """
     perms = np.array(enumerate_permutations(n))
-    d = len(perms)
     # int8 labels and phases keep the (4^n, n!) intermediates narrow
     tuples = np.indices((4,) * n, dtype=np.int8).reshape(n, -1).T
     # labels[i, a, r]: the Pauli label in slot r of branch a for tuple i
@@ -278,14 +280,51 @@ def branch_pair_weight_counts(n):
     rel = (t - t[:, :1]) % 4
     if np.any(rel % 2):
         raise InvariantError("relative branch phase is not +-1")
-    sign = 1 - rel
-    zeros = np.count_nonzero(tuples == 0, axis=1)
+    return k[:, 0], 1 - rel, np.count_nonzero(tuples == 0, axis=1)
+
+
+@lru_cache(maxsize=None)
+def branch_pair_weight_counts(n):
+    """Signed tuple counts B[k, a, b, z] for the isotropic n-path switch.
+
+    For Kraus tuple i with z zeros, every branch product equals (phase) sigma_k
+    with a common k; the relative branch phase is +-1. Summing the signs per
+    (outcome Pauli k, branch pair (a, b), zero count z) gives integer counts
+    such that the pairwise super-operator weights are
+
+        w_k^{ab}(p) = sum_z B[k, a, b, z] (1-3p)^z p^(n-z).
+    """
+    k, sign, zeros = _tuple_signs(n)
+    d = sign.shape[1]
     # each tuple adds its (a, b) sign products to the cell of its k and z
     counts = np.zeros((4, d, d, n + 1), dtype=np.int64)
-    np.add.at(counts, (k[:, 0], slice(None), slice(None), zeros),
-              sign[:, :, None] * sign[:, None, :])
+    np.add.at(counts, (k, slice(None), slice(None), zeros), sign[:, :, None] * sign[:, None, :])
     counts.setflags(write=False)
     return counts
+
+
+@lru_cache(maxsize=None)
+def sign_vector_counts(n):
+    """(s, M): the distinct branch sign vectors s[j] (S, n!) and tuple counts M[j, k, z].
+
+    M counts the Kraus tuples with sign vector s[j], Pauli label k and z zeros,
+    so the count tensor is a sum of squares, B[k, :, :, z] = sum_j M[j, k, z]
+    s[j] s[j]^T; there are 2, 8 and 36 sign vectors at n = 2, 3 and 4. Both
+    that identity and the equality of M's k = 1, 2, 3 slices (which makes the
+    post-selected fidelity input-independent) are checked exactly here.
+    """
+    k, sign, zeros = _tuple_signs(n)
+    signs, which = np.unique(sign, axis=0, return_inverse=True)
+    counts = np.zeros((len(signs), 4, n + 1), dtype=np.int64)
+    np.add.at(counts, (which.ravel(), k, zeros), 1)
+    if not np.array_equal(np.einsum("ja,jb,jkz->kabz", signs, signs, counts),
+                          branch_pair_weight_counts(n)):
+        raise InvariantError("the sign vectors do not rebuild the count tensor")
+    if not (np.array_equal(counts[:, 1], counts[:, 2]) and np.array_equal(counts[:, 1], counts[:, 3])):
+        raise InvariantError("nonidentity weights differ; input independence lost")
+    for a in (signs, counts):
+        a.setflags(write=False)
+    return signs, counts
 
 
 @lru_cache(maxsize=None)
@@ -298,34 +337,42 @@ def pauli_basis_monomials(n):
 
 
 @lru_cache(maxsize=None)
-def _folded_counts(n):
-    """The count tensor folded with the monomials: F[(a, b), (k, j)], read-only.
+def _gram_fold(n):
+    """(s^T, fold): the sign vectors as a (n!, S) matrix and the (S, 2(n + 1)) fold.
 
-    Row (a, b) holds the ascending coefficients of w_k^{ab}(p) for each k.
+    Row j of the fold holds the ascending coefficients of num and den that
+    sign vector j contributes per unit |gamma . s[j]|^2: M0 + M1 and M0 + 3 M1
+    in the monomial basis. Both are read-only, and their values are integers.
     """
-    counts = branch_pair_weight_counts(n)
-    fold = np.einsum("kabz,zj->abkj", counts, pauli_basis_monomials(n)).reshape(
-        counts.shape[1] ** 2, 4 * (n + 1))
-    fold.setflags(write=False)
-    return fold
+    signs, counts = sign_vector_counts(n)
+    monomials = pauli_basis_monomials(n)
+    fold = np.hstack([(counts[:, 0] + counts[:, 1]) @ monomials,
+                      (counts[:, 0] + 3 * counts[:, 1]) @ monomials])
+    signs = signs.T.astype(float)
+    for a in (signs, fold):
+        a.setflags(write=False)
+    return signs, fold
 
 
 def post_selected_weight_stack(gamma):
-    """Weights W[g, k] (ascending, degree n) for a (G, n!) stack gamma = c * conj(m).
+    """(num, den): ascending coefficients (G, n + 1) for a (G, n!) stack gamma = c * conj(m).
 
-    gamma's width n! fixes n and must be 2, 6 or 24. W is bilinear in gamma.
-    Each row is its own matrix-vector product with the folded (exact,
-    integer-valued) count tensor, so it does not depend on the other rows.
+    gamma's width n! fixes n and must be 2, 6 or 24. With Pauli weights
+    W_k(p) (W_1 = W_2 = W_3), num = W_0 + W_1 and den = W_0 + 3 W_1 is the
+    outcome probability. In Gram form each is sum_j fold[j] |gamma . s[j]|^2
+    over the sign vectors s[j] of sign_vector_counts, so every coefficient of
+    the Pauli basis (1-3p)^z p^(n-z) is a sum of nonnegative terms, and
+    den(0) = |<m|c>|^2 exactly up to one rounding. Each row is its own pair of
+    vector-matrix products, so it does not depend on the other rows.
     """
     gamma = np.asarray(gamma, dtype=complex)
     if gamma.ndim != 2 or gamma.shape[1] not in _PATHS_BY_DIM:
         raise ValueError(f"gamma must be a (G, d) stack with d = 2, 6 or 24, not {gamma.shape}")
     n = _PATHS_BY_DIM[gamma.shape[1]]
-    fold = _folded_counts(n)
-    outer = (gamma[:, :, None] * gamma.conj()[:, None, :]).reshape(len(gamma), 1, -1)
-    if not np.all(np.abs(outer.imag @ fold) <= IDENTITY_TOL):
-        raise InvariantError("post-selected weights must be real")
-    return (outer.real @ fold).reshape(len(gamma), 4, n + 1)
+    signs, fold = _gram_fold(n)
+    overlap = gamma[:, None, :] @ signs
+    weights = (overlap.real**2 + overlap.imag**2) @ fold
+    return weights[:, 0, : n + 1], weights[:, 0, n + 1:]
 
 
 def post_selected_polynomials(control, outcome):
@@ -333,8 +380,12 @@ def post_selected_polynomials(control, outcome):
 
     The unnormalized state after post-selecting the outcome is
     sum_k W_k(p) sigma_k rho sigma_k; the outcome probability is sum_k W_k(p).
+    The nonidentity weights coincide, so W comes from post_selected_weight_stack's
+    (num, den) as W_1 = W_2 = W_3 = (den - num) / 2 and W_0 = num - W_1.
     """
     m = normalize_state(outcome)
     if len(m) != control.dim:
         raise ValueError(f"outcome dimension {len(m)} != control dimension {control.dim}")
-    return post_selected_weight_stack((control.amplitudes * m.conj())[None])[0]
+    num, den = post_selected_weight_stack((control.amplitudes * m.conj())[None])
+    w1 = (den[0] - num[0]) / 2
+    return np.stack([num[0] - w1, w1, w1, w1])

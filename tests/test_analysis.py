@@ -1,5 +1,6 @@
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -254,6 +255,25 @@ def test_k_total_matches_brute_force_quadrature():
     assert analysis.k_total(control) == pytest.approx(brute, abs=1e-8)
 
 
+def test_control_stacks_as_arrays_match_their_control_states():
+    # raw (sqrt(q), sqrt(1 - q)) rows are normalized as ControlState normalizes them
+    qs = np.linspace(0.0, 1.0, 17)
+    raw = np.sqrt(np.stack([qs, 1 - qs], axis=1)).astype(complex)
+    controls = [switch.ControlState(row) for row in raw]
+    outcomes = np.random.default_rng(26).standard_normal((len(qs), 2))
+    assert np.array_equal(analysis.merit_grid(raw, outcomes), analysis.merit_grid(controls, outcomes))
+    totals = analysis.k_total_grid(raw)
+    assert np.array_equal(totals, analysis.k_total_grid(controls))
+    assert totals.tolist() == [analysis.k_total(c) for c in controls]
+    coherence = analysis.l1_coherence(raw)
+    assert coherence.tolist() == [analysis.l1_coherence(row) for row in raw]
+    for bad in (np.ones((3, 3)), np.ones(2)):
+        with pytest.raises(ValueError):
+            analysis.merit_grid(bad, [1.0, 0.0])
+    with pytest.raises(ValueError):
+        analysis.k_total_grid(np.ones((2, 6)))
+
+
 def test_optimize_outcome_picks_plus_and_breaks_ties_deterministically():
     control = switch.control_qubit(0.5)
     lambdas = [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -442,7 +462,7 @@ def test_closed_form_quadratic_edge_cases():
 #
 # K integrates max(F - 2/3, 0) over p in [0, 1/3]. The reference below shares
 # only the polynomials num and den with merit_grid (the same normalized rows
-# through post_selected_weight_stack and _ratio_polynomials): it finds kinks by
+# through post_selected_weight_stack's Gram form): it finds kinks by
 # bisecting sign changes of num - (2/3) den on a fine grid (no companion
 # matrices), and integrates each piece between them with a composite 8-node
 # Gauss-Legendre rule whose panels double until two passes agree.
@@ -462,7 +482,7 @@ def _reference_polynomials(controls, outcomes):
         # the orthogonal complement (-m1*, m0*) fires with certainty
         perp = np.stack([-outcomes[silent, 1].conj(), outcomes[silent, 0].conj()], axis=1)
         gamma[silent] = amps[silent] * perp.conj()
-    return analysis._ratio_polynomials(switch.post_selected_weight_stack(gamma))
+    return switch.post_selected_weight_stack(gamma)
 
 
 def _reference_cuts(g):
@@ -629,3 +649,53 @@ def test_merit_reference_matches_closed_forms():
     alternating = analysis.OutcomeFamily3(1.0, 0.0).vector()
     assert _reference_merit(switch.uniform_control(3), alternating)[0] == pytest.approx(
         1 / 36, abs=1e-15)
+
+
+# --------------------------------------------------------------------------
+# the outcome probability at p = 0, exactly
+# --------------------------------------------------------------------------
+#
+# At p = 0 the channels are noiseless, so den(0) = |<m|c>|^2. The Gram form
+# computes it as one squared sum, so it keeps its digits however small the
+# overlap; the outer-product form summed d^2 terms of size |c_a m_b| and lost
+# them (den(0) = -3.5e-18 for the eps = 1e-9 row below, against 2.8e-20).
+
+_EPSILONS = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5)
+
+
+def _eps_rows():
+    """The alpha outcomes (-1, -1, -1 + eps): K - 1/36 = 0.0224 eps to first order."""
+    return [analysis.AlphaOutcome(-1, -1, -1 + eps).vector() for eps in _EPSILONS]
+
+
+def _exact_overlap_squared(control, outcome):
+    """|<m|c>|^2 as a Fraction, from the float amplitudes of c and of the normalized m."""
+    m = normalize_state(outcome)
+    re = sum(Fraction(a.real) * Fraction(b.real) + Fraction(a.imag) * Fraction(b.imag)
+             for a, b in zip(m, control.amplitudes))
+    im = sum(Fraction(a.real) * Fraction(b.imag) - Fraction(a.imag) * Fraction(b.real)
+             for a, b in zip(m, control.amplitudes))
+    return re * re + im * im
+
+
+def test_merit_of_near_alternating_outcomes_is_linear_in_eps():
+    merits = analysis.merit_grid(switch.uniform_control(3), _eps_rows())
+    excess = merits - 1 / 36
+    assert np.all(excess > 0)
+    slopes = excess / np.array(_EPSILONS)
+    assert np.abs(slopes / slopes[_EPSILONS.index(1e-6)] - 1).max() < 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_outcome_probability_at_zero_noise_is_the_exact_overlap(n):
+    # near-orthogonal rows, plus the eps rows at n = 3
+    controls, outcomes = _near_orthogonal_rows(n, np.random.default_rng(2600 + n))
+    rows = list(zip(controls, outcomes))
+    if n == 3:
+        rows += [(switch.uniform_control(3), m) for m in _eps_rows()]
+    for control, outcome in rows:
+        den0 = analysis.fidelity_polynomials(control, outcome)[1][0]
+        exact = _exact_overlap_squared(control, outcome)
+        assert den0 >= 0
+        # |den(0) - |<m|c>|^2| <= 1e-15 |<m|c>|, squared to stay in the rationals
+        assert (Fraction(den0) - exact) ** 2 <= Fraction(1e-15) ** 2 * exact

@@ -479,6 +479,18 @@ def test_coherence_scan_endpoints(capsys):
     assert float(last[1]) == pytest.approx(0.023914668763221, abs=1e-9)
 
 
+def test_degenerate_column_codes_match_the_mask_pattern_form():
+    # four profiles flagged at different points, in every combination
+    labels = [a.label() for a in cli.CAPTION_ALPHAS]
+    zero = np.random.default_rng(26).random((4, 300)) < 0.4
+    assert len(np.unique(zero.T, axis=0)) == 16
+    patterns, inverse = np.unique(zero.T, axis=0, return_inverse=True)
+    expected = np.array([";".join(np.array(labels)[flags]) for flags in patterns])[inverse.ravel()]
+    assert np.array_equal(cli._degenerate_column(labels, zero), expected)
+    assert cli._degenerate_column(labels[:1], zero[:1]).tolist() == [
+        labels[0] if flag else "" for flag in zero[0]]
+
+
 def test_three_path_profile_columns_and_degenerate_flag(capsys):
     assert run_cli(["three-path", "--p-step", "0.1"]) == 0
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))

@@ -433,21 +433,87 @@ def test_branch_pair_weight_counts_are_integer_and_symmetric():
         assert diag == d * 4 ** n
 
 
+def test_sign_vectors_rebuild_the_count_tensor_exactly():
+    for n, vectors in ((2, 2), (3, 8), (4, 36)):
+        signs, counts = switch.sign_vector_counts(n)
+        assert signs.shape == (vectors, math.factorial(n))
+        assert counts.shape == (vectors, 4, n + 1)
+        assert np.array_equal(np.abs(signs), np.ones_like(signs))
+        assert counts.min() >= 0 and counts.sum() == 4**n
+        # B[k, :, :, z] = sum_j M[j, k, z] s_j s_j^T, in integers
+        rebuilt = np.einsum("ja,jb,jkz->kabz", signs, signs, counts)
+        assert np.array_equal(rebuilt, switch.branch_pair_weight_counts(n))
+        assert np.array_equal(counts[:, 1], counts[:, 2])
+        assert np.array_equal(counts[:, 1], counts[:, 3])
+        assert not signs.flags.writeable and not counts.flags.writeable
+
+
+def test_gram_fold_is_an_integer_fold_of_the_sign_vector_counts():
+    for n in (2, 3, 4):
+        signs, counts = switch.sign_vector_counts(n)
+        columns, fold = switch._gram_fold(n)
+        assert np.array_equal(columns, signs.T)
+        assert fold.shape == (len(signs), 2 * (n + 1))
+        assert np.array_equal(fold, np.rint(fold))
+        monomials = switch.pauli_basis_monomials(n)
+        assert np.array_equal(fold[:, : n + 1], (counts[:, 0] + counts[:, 1]) @ monomials)
+        assert np.array_equal(fold[:, n + 1:], (counts[:, 0] + 3 * counts[:, 1]) @ monomials)
+
+
+_COUNTS, _TUPLE_SIGNS = switch.branch_pair_weight_counts, switch._tuple_signs
+
+
+def _tampered_counts(n):
+    """The count tensor with one cell off by one."""
+    counts = _COUNTS(n).copy()
+    counts[0, 0, 1, 0] += 1
+    return counts
+
+
+def _relabel_one_tuple(n):
+    """_tuple_signs with one tuple's Pauli label moved from sigma_x to sigma_y."""
+    k, sign, zeros = _TUPLE_SIGNS(n)
+    k = k.copy()
+    k[np.flatnonzero(k == 1)[0]] = 2
+    return k, sign, zeros
+
+
+@pytest.mark.parametrize("name, replacement, message", [
+    ("branch_pair_weight_counts", _tampered_counts, "do not rebuild the count tensor"),
+    # a consistent count tensor whose sigma_x and sigma_y weights differ
+    ("_tuple_signs", _relabel_one_tuple, "nonidentity weights differ"),
+], ids=["tampered-counts", "relabelled-tuple"])
+def test_sign_vector_counts_refuse_a_broken_identity(monkeypatch, name, replacement, message):
+    caches = (switch.branch_pair_weight_counts, switch.sign_vector_counts)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        monkeypatch.setattr(switch, name, replacement)
+        with pytest.raises(switch.InvariantError, match=message):
+            switch.sign_vector_counts(2)
+    finally:
+        monkeypatch.undo()
+        for cached in caches:
+            cached.cache_clear()
+
+
 def test_post_selected_weights_use_a_cached_read_only_fold():
     rng = np.random.default_rng(8)
     for n in (2, 3, 4):
         d = math.factorial(n)
         gamma = np.array([switch.haar_random_state(d, rng) * switch.haar_random_state(d, rng).conj()
                           for _ in range(5)])
+        # the outer-product form: w_k = sum_ab gamma_a conj(gamma_b) w_k^{ab}
         fresh = np.einsum("kabz,zj->abkj", switch.branch_pair_weight_counts(n),
                           switch.pauli_basis_monomials(n)).reshape(d * d, 4 * (n + 1))
         outer = (gamma[:, :, None] * gamma.conj()[:, None, :]).reshape(5, 1, -1)
-        expected = (outer.real @ fresh).reshape(5, 4, n + 1)
-        assert np.array_equal(switch.post_selected_weight_stack(gamma), expected)
-        fold = switch._folded_counts(n)
-        assert fold is switch._folded_counts(n)
-        assert not fold.flags.writeable
-        assert np.array_equal(fold, fresh)
+        w = (outer.real @ fresh).reshape(5, 4, n + 1)
+        num, den = switch.post_selected_weight_stack(gamma)
+        assert np.allclose(num, w[:, 0] + w[:, 1], rtol=0.0, atol=1e-13)
+        assert np.allclose(den, w.sum(axis=1), rtol=0.0, atol=1e-13)
+        fold = switch._gram_fold(n)
+        assert fold is switch._gram_fold(n)
+        assert not any(a.flags.writeable for a in fold)
     # gamma's width fixes the path count, so it must be 2, 6 or 24 on a 2-D stack
     for gamma in (np.ones((5, 3)), np.ones((5, 5)), np.ones(6)):
         with pytest.raises(ValueError):

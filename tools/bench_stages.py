@@ -13,17 +13,23 @@ calls of each stage:
 - switch_n(2), switch_n(3), switch_n(4): the same channel, one input, the
   uniform control;
 - counts(2), counts(3), counts(4): the cold count-tensor build and fold, with
-  the caches of branch_pair_weight_counts, pauli_basis_monomials and
-  _folded_counts cleared before each call;
+  the caches of branch_pair_weight_counts, pauli_basis_monomials and the fold
+  (sign_vector_counts and _gram_fold; _folded_counts in sources from before
+  the Gram form) cleared before each call;
 - merit_grid(fom-scan): the default fom-scan grid at q = 0.5 (41 lambdas x
   180 phases of OutcomeFamily2, n = 2), built from the grid as the CLI does;
 - merit_grid(three-path): the same default grid of OutcomeFamily3 against the
   uniform three-path control, the rows of the three-path phase scan (n = 3);
 - merit_grid(n=4): 256 random (Haar control, Gaussian outcome) rows at n = 4,
   the path count read from the 24-dimensional controls;
+- weights(fom-scan), weights(three-path), weights(n=4): gamma -> (num, den)
+  alone on the three grids above, gamma built once from the normalized rows;
 - _root_real_parts(fom-scan), _root_real_parts(three-path): kink location
   alone on the two grids above: num - (2/3) den of every row, built once,
   solved _BLOCK_ROWS rows at a time as merit_grid's blocks are;
+- degenerate column (three-path 1e-4): three-path's degenerate column at
+  --p-step 1e-4 (3,335 points, the four caption alphas), from a mask computed
+  once;
 - _emit_tables(region-map, csv), _emit_tables(region-map, json): the tables
   of region-map at default flags, computed once, written by cli._emit_tables
   to --out files in a temporary directory, as CSV (two files) and as JSON;
@@ -77,11 +83,23 @@ def worker():
         uniform = switch.uniform_control(n)
         stages[f"switch_n({n})"] = lambda n=n, c=uniform: switch.switch_n(ch, n, rho, c)
 
+    # sources from before the Gram form fold the counts in _folded_counts and
+    # return W[g, k] from the weight stack, which _ratio_polynomials sums
+    caches = [getattr(switch, name) for name in (
+        "branch_pair_weight_counts", "pauli_basis_monomials", "sign_vector_counts", "_gram_fold",
+        "_folded_counts") if hasattr(switch, name)]
+    fold = getattr(switch, "_gram_fold", getattr(switch, "_folded_counts", None))
+
     def counts(n):
-        for cached in (switch.branch_pair_weight_counts, switch.pauli_basis_monomials,
-                       switch._folded_counts):
+        for cached in caches:
             cached.cache_clear()
-        switch._folded_counts(n)
+        fold(n)
+
+    def ratio_polynomials(gamma):
+        weights = switch.post_selected_weight_stack(gamma)
+        if hasattr(analysis, "_ratio_polynomials"):
+            return analysis._ratio_polynomials(weights)
+        return weights
 
     for n in (2, 3, 4):
         stages[f"counts({n})"] = lambda n=n: counts(n)
@@ -93,22 +111,42 @@ def worker():
     stages["merit_grid(three-path)"] = lambda: analysis.merit_grid(
         three, analysis.OutcomeFamily3.grid(lams, phis))
 
-    def kink_blocks(controls, outcomes):
+    def gamma_of(controls, outcomes):
         amps, outcomes = analysis._rows(controls, outcomes)
-        weights = switch.post_selected_weight_stack(amps * outcomes.conj())
-        num, den = analysis._ratio_polynomials(weights)
+        return amps * outcomes.conj()
+
+    def kink_blocks(gamma):
+        num, den = ratio_polynomials(gamma)
         g = num - analysis.CLASSICAL_THRESHOLD * den
         return [g[i:i + analysis._BLOCK_ROWS] for i in range(0, len(g), analysis._BLOCK_ROWS)]
 
-    for label, paths, family in (("fom-scan", half, analysis.OutcomeFamily2),
-                                 ("three-path", three, analysis.OutcomeFamily3)):
-        blocks = kink_blocks(paths, family.grid(lams, phis))
-        stages[f"_root_real_parts({label})"] = lambda blocks=blocks: [
-            analysis._root_real_parts(block) for block in blocks]
     rng = np.random.default_rng(17)
     controls = [switch.ControlState(switch.haar_random_state(24, rng)) for _ in range(256)]
     outcomes = rng.standard_normal((256, 24)) + 1j * rng.standard_normal((256, 24))
     stages["merit_grid(n=4)"] = lambda: analysis.merit_grid(controls, outcomes)
+    gammas = {"fom-scan": gamma_of(half, analysis.OutcomeFamily2.grid(lams, phis)),
+              "three-path": gamma_of(three, analysis.OutcomeFamily3.grid(lams, phis)),
+              "n=4": gamma_of(controls, outcomes)}
+    for label, gamma in gammas.items():
+        stages[f"weights({label})"] = lambda gamma=gamma: ratio_polynomials(gamma)
+    for label in ("fom-scan", "three-path"):
+        blocks = kink_blocks(gammas[label])
+        stages[f"_root_real_parts({label})"] = lambda blocks=blocks: [
+            analysis._root_real_parts(block) for block in blocks]
+
+    fine = cli._p_grid({"p_min": 0.0, "p_max": 1 / 3, "p_step": 1e-4})
+    labels = [a.label() for a in cli.CAPTION_ALPHAS]
+    zero = analysis.alpha_fidelity_profile(cli.CAPTION_ALPHAS, fine)[1]
+
+    def degenerate_column():
+        if hasattr(cli, "_degenerate_column"):
+            return cli._degenerate_column(labels, zero)
+        # the mask-pattern form of sources from before the integer codes
+        patterns, inverse = np.unique(zero.T, axis=0, return_inverse=True)
+        names = np.array(labels)
+        return np.array([";".join(names[flags]) for flags in patterns])[inverse.ravel()]
+
+    stages["degenerate column (three-path 1e-4)"] = degenerate_column
 
     written = tempfile.TemporaryDirectory()
     for label, command, flags, fmts in [
