@@ -5,14 +5,13 @@ F = num/den of degree-n polynomials in the noise weight p, so every quantity
 here reduces to polynomial arithmetic. num and den come from one route,
 switch.post_selected_weight_stack, in Gram form: squared overlaps |s . gamma|^2
 of gamma = c * conj(m) with the branch sign vectors s, folded with integer
-counts, so den(0) = |<m|c>|^2 keeps its digits however small it is. The figure
-of merit integrates max(F - 2/3, 0) over p in [0, 1/3]: its kinks are the
-roots of g = num - (2/3) den, in closed form for two and three paths (a
-quadratic and a deflated cubic) and as companion matrix eigenvalues for four,
-and each smooth piece between them takes one fixed 12-node Gauss-Legendre
-rule, with g and den evaluated at every node in one Horner pass and
-F - 2/3 = g/den. There is no adaptive refinement; merit_grid runs this for a
-whole stack of outcomes at once.
+counts into the Pauli basis (1-3p)^z p^(n-z) with nonnegative coefficients, so
+a curve's only 0/0 points are p = 0 and 1/3, filled exactly. The figure of
+merit integrates max(F - 2/3, 0) over p in [0, 1/3] in monomials: its kinks are
+the roots of g = num - (2/3) den, in closed form for two and three paths and by
+companion matrix eigenvalues for four, and each smooth piece between them takes
+one fixed 12-node Gauss-Legendre rule, g and den at its nodes from one Horner
+pass. There is no adaptive refinement; merit_grid runs this for a whole stack.
 """
 import math
 from dataclasses import dataclass
@@ -22,9 +21,9 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .channels import _check_p, _check_q, no_switch_fidelity, no_switch_threshold
-from .linalg import (DEGREE_DROP, LHOPITAL_ZERO, MERIT_TIE, RANGE_SLACK, SILENT_PROB, ZERO_DEN,
-                     normalize_state)
-from .switch import ControlState, DegenerateOutcomeError, post_selected_weight_stack, uniform_control
+from .linalg import DEGREE_DROP, MERIT_TIE, RANGE_SLACK, SILENT_PROB, normalize_state
+from .switch import (ControlState, DegenerateOutcomeError, _monomial_pair, pauli_basis_monomials,
+                     post_selected_weight_stack, uniform_control)
 
 CLASSICAL_THRESHOLD = 2 / 3
 
@@ -38,8 +37,7 @@ _gauss_legendre = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 # outcomes per block of merit_grid; bounds the memory of the node arrays
 _BLOCK_ROWS = 256
 
-# p values per block of a fidelity curve; bounds the memory of P.polyval's
-# Horner steps, which hold several arrays of the block's shape at a time
+# p values per block of a fidelity curve; bounds its (2, G, block) Horner values
 _BLOCK_POINTS = 4096
 
 
@@ -167,10 +165,7 @@ class AlphaOutcome:
         return normalize_state([1.0, self.a1, self.a2, 1.0, 1.0, self.a3])
 
     def label(self):
-        def fmt(x):
-            return f"{x:g}"
-
-        return f"({fmt(self.a1)},{fmt(self.a2)},{fmt(self.a3)})"
+        return f"({self.a1:g},{self.a2:g},{self.a3:g})"
 
 
 # --------------------------------------------------------------------------
@@ -183,48 +178,55 @@ def fidelity_polynomials(control, outcome):
 
     den(p) is the outcome probability. Valid for pure system inputs; the
     three nonidentity weights coincide by Pauli relabeling, which makes the
-    ratio input-independent. The one-row case of curve_grid's polynomials.
+    ratio input-independent. The one-row case of curve_grid's polynomials, in monomials.
     """
     amps, outcomes = _rows(control, outcome)
-    num, den = post_selected_weight_stack(amps * outcomes.conj())
-    return num[0], den[0]
+    return tuple(_monomial_pair(amps * outcomes.conj())[0])
 
 
-def _lhopital(num, den, p):
-    n_, d_ = np.array(num), np.array(den)
-    scale = np.max(np.abs(d_))
-    for _ in range(len(den)):
-        n_, d_ = P.polyder(n_), P.polyder(d_)
-        dv = P.polyval(p, d_)
-        if abs(dv) > LHOPITAL_ZERO * scale:
-            return float(P.polyval(p, n_) / dv)
-    raise DegenerateOutcomeError(f"outcome probability vanishes identically near p={p}")
+def _horner(coeffs, t):
+    """sum_j coeffs[j] t^j for coeffs ascending on its first axis, in place in one array."""
+    out = np.empty(np.broadcast(coeffs[-1], t).shape)
+    out[...] = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out *= t
+        out += c
+    return out
 
 
-def _ratio(num, den, ps):
-    """(F, 0/0 mask) of num/den for each row of (G, deg + 1) stacks at the p values ps.
+def _ratio(pair, ps):
+    """(F, 0/0 mask) of num/den at the p values ps for each row of a (2, G, n + 1) Pauli-basis pair.
 
-    The mask is relative to each row's den (see ZERO_DEN), so an outcome that
-    fires rarely still gets its ratio; masked points take the L'Hopital limit.
-    The p axis is evaluated _BLOCK_POINTS values at a time.
+    In x = p/(1 - 3p), num = (1 - 3p)^n sum_z N_z x^(n - z) and den likewise with
+    all D_z >= 0, so den vanishes only at p = 0 (if D_n = 0) or 1/3 (if D_0 = 0),
+    where F tends to N_z/D_z at the largest or smallest z with D_z > 0. A row drops
+    its vanishing low powers of x, so p = 0 gives that limit and no p > 0 underflows
+    den; p >= 1/3 takes the 1/3 end, and p runs in blocks of _BLOCK_POINTS.
     """
-    ps = np.atleast_1d(np.asarray(ps, dtype=float))
-    out = np.empty((len(num), len(ps)))
-    zero = np.empty(out.shape, dtype=bool)
-    tol = ZERO_DEN * np.max(np.abs(den), axis=1, keepdims=True)
+    ps = np.atleast_1d(_check_p(np.asarray(ps, dtype=float)))
+    live = pair[1] > 0
+    if len(ps) and not live.any(axis=1).all():
+        raise DegenerateOutcomeError(f"outcome probability vanishes identically near p={ps[0]}")
+    n, rows = pair.shape[2] - 1, np.arange(pair.shape[1])[:, None]
+    first, last = live.argmax(axis=1)[:, None], n - live[:, ::-1].argmax(axis=1)[:, None]
+    # the coefficient of x^j is the Pauli coefficient z = last - j, or 0 where z < 0
+    z = last - np.arange(n + 1)
+    coeffs = np.where(z >= 0, pair[:, rows, z], 0.0).transpose(2, 0, 1)[..., None]
+    rest = 1 - 3 * ps
+    top, x, out = rest <= 0, ps / np.where(rest > 0, rest, 1.0), np.empty((len(rows), len(ps)))
     for start in range(0, len(ps), _BLOCK_POINTS):
         block = slice(start, start + _BLOCK_POINTS)
-        dv = P.polyval(ps[block], den.T)
-        zero[:, block] = np.abs(dv) <= tol
-        np.divide(P.polyval(ps[block], num.T), dv, out=out[:, block], where=~zero[:, block])
-    for g, i in zip(*np.nonzero(zero)):
-        out[g, i] = _lhopital(num[g], den[g], ps[i])
-    return out, zero
+        out[:, block] = np.divide(*_horner(coeffs, x[block]))
+    if top.any():
+        out[:, top] = np.divide(*pair[:, rows, first])
+    return out, (ps == 0) & (pair[1, :, -1:] == 0) | top & (pair[1, :, :1] == 0)
 
 
 def evaluate_fidelity(num, den, ps):
-    """F(p) = num/den elementwise, filling isolated 0/0 points by L'Hopital."""
-    return _ratio(np.atleast_2d(num), np.atleast_2d(den), ps)[0][0]
+    """F(p) = num/den of monomials such as fidelity_polynomials', in curve_grid's Pauli basis by
+    pauli_basis_monomials' integer inverse, p^k = sum_z C(n-k, z) 3^(n-k-z) (1-3p)^z p^(n-z)."""
+    pair = np.stack([num, den]) @ np.rint(np.linalg.inv(pauli_basis_monomials(len(den) - 1)))
+    return _ratio(pair[:, None], ps)[0][0]
 
 
 def _amplitudes(controls):
@@ -256,12 +258,11 @@ def curve_grid(controls, outcomes, ps):
     """(F, 0/0 mask) of shape (G, len(ps)): post-selected fidelity of each row at each p.
 
     controls and outcomes broadcast to G rows as in merit_grid; a row does not
-    depend on the others. A 0/0 point gets the L'Hopital limit, and an outcome
-    that never fires raises DegenerateOutcomeError.
+    depend on the others; each p must lie in [0, 1/3]. A 0/0 point (p = 0 or 1/3)
+    gets the limit, and an outcome that never fires raises DegenerateOutcomeError.
     """
     amps, outcomes = _rows(controls, outcomes)
-    num, den = post_selected_weight_stack(amps * outcomes.conj())
-    return _ratio(num, den, ps)
+    return _ratio(post_selected_weight_stack(amps * outcomes.conj()), ps)
 
 
 def fidelity_profile(control, outcome, ps, n=None):
@@ -365,8 +366,8 @@ def _root_real_parts(g):
 
 def _merit_block(amps, outcomes):
     """K for a block of (control amplitudes, normalized outcome) rows."""
-    num, den = post_selected_weight_stack(amps * outcomes.conj())
-    silent = np.max(np.abs(den), axis=1) < SILENT_PROB
+    pair = _monomial_pair(amps * outcomes.conj())
+    silent = np.max(np.abs(pair[:, 1]), axis=1) < SILENT_PROB
     if silent.any():
         if amps.shape[1] != 2:
             raise DegenerateOutcomeError(
@@ -374,25 +375,19 @@ def _merit_block(amps, outcomes):
             )
         # the orthogonal complement fires with certainty; gamma = c * conj(complement)
         complement = np.stack([-outcomes[silent, 1], outcomes[silent, 0]], axis=1)
-        num[silent], den[silent] = post_selected_weight_stack(amps[silent] * complement)
+        pair[silent] = _monomial_pair(amps[silent] * complement)
     # F - 2/3 = g / den with the kink polynomial g = num - (2/3) den. Every root's
     # real part becomes a cut: a cut at a point that is not a crossing of F = 2/3
     # only splits a smooth piece, and roots outside the interval clip to its ends
     # and give empty pieces
-    g = num - CLASSICAL_THRESHOLD * den
+    g, den = pair[:, 0] - CLASSICAL_THRESHOLD * pair[:, 1], pair[:, 1]
     kinks = np.sort(np.clip(_root_real_parts(g), 0.0, 1 / 3), axis=1)
     ends = np.zeros((len(g), 1))
     cuts = np.hstack([ends, kinks, ends + 1 / 3])
     half = 0.5 * (cuts[:, 1:] - cuts[:, :-1])
     gl_nodes, gl_weights = _gauss_legendre(_GL_POINTS)
     nodes = (cuts[:, :-1] + half)[..., None] + half[..., None] * gl_nodes
-    # g and den at every node in one Horner pass over the stacked coefficients
-    coeffs = np.stack([g, den])[..., None, None]
-    values = np.empty((2,) + nodes.shape)
-    values[...] = coeffs[:, :, -1]
-    for j in range(coeffs.shape[2] - 2, -1, -1):
-        values *= nodes
-        values += coeffs[:, :, j]
+    values = _horner(np.stack([g.T, den.T], axis=1)[..., None, None], nodes)
     with np.errstate(divide="ignore", invalid="ignore"):
         excess = values[0] / values[1]
     # an empty piece may sit on a 0/0 end point; its nodes carry no weight. np.where
@@ -444,7 +439,7 @@ def k_total_grid(controls):
     if amps.shape[1] != 2:
         raise ValueError("k_total is defined for the two-path switch")
     # the joint fidelity has the weights of gamma = |c|^2, summed like num
-    num, _ = post_selected_weight_stack(np.abs(amps) ** 2)
+    num = _monomial_pair(np.abs(amps) ** 2)[:, 0]
     return P.polyval(1 / 3, P.polyint(num, axis=1).T)
 
 

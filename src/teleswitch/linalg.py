@@ -17,12 +17,10 @@ WEIGHT_SUM_TOL = 1e-9       # a channel's Pauli weights sum to 1
 RANGE_SLACK = 1e-12         # a p, mu, Pauli weight or p-grid end this far past its range's end
 DET_CLAMP = 1e-14           # |det| of a qubit state at an exact zero (a pure state)
 DEGREE_DROP = 1e-12         # a leading coefficient, relative to the largest: the degree dropped
-LHOPITAL_ZERO = 1e-9        # a derivative of den, relative to den's largest coefficient, is 0
 MERIT_TIE = 1e-15           # a merit within this of the best ties with it
-# an outcome that never fires, judged on three different quantities
+# an outcome that never fires, judged on two different quantities
 DEGENERATE_PROB = 1e-12     # its probability at one point
-SILENT_PROB = 1e-13         # the largest coefficient of its probability polynomial
-ZERO_DEN = 1e-11            # |den(p)| relative to den's largest coefficient: a 0/0 point
+SILENT_PROB = 1e-13         # the largest monomial coefficient of its probability polynomial
 
 
 # a norm that overflows comes out inf and is refused below, without a warning

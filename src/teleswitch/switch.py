@@ -30,9 +30,9 @@ The polynomial route is in Gram form. Grouping the Kraus tuples by their
 branch sign vector s writes the signed count tensor as a sum of squares,
 B[k, :, :, z] = sum_s M[s, k, z] s s^T with integer M >= 0, so with
 gamma = c * conj(m) every weight is W_k = sum_s M[s, k, .] |s . gamma|^2.
-The route computes the overlaps s . gamma and folds their squares with M and
-the Pauli-basis monomials into the numerator and denominator of the fidelity;
-both identities are checked exactly, in integers, when the fold is built.
+The route computes the overlaps s . gamma and folds their squares with M into
+the numerator and denominator of the fidelity in the Pauli basis; both
+identities are checked exactly, in integers, when the fold is built.
 """
 import math
 from dataclasses import dataclass
@@ -257,8 +257,9 @@ _PROD_K = np.abs(_OVERLAPS).argmax(axis=-1).astype(np.int8)
 _PROD_T = (np.rint(np.angle(_OVERLAPS.sum(axis=-1)) * 2 / np.pi) % 4).astype(np.int8)
 
 
+@lru_cache(maxsize=None)
 def _tuple_signs(n):
-    """(k, s, z) of every Kraus tuple of the isotropic n-path switch.
+    """(k, s, z) of every Kraus tuple of the isotropic n-path switch, cached and read-only.
 
     For Kraus tuple i every branch product equals (phase) sigma_k with a common
     k[i]; branch a's phase relative to branch 0 is s[i, a] = +-1, and z[i]
@@ -280,7 +281,10 @@ def _tuple_signs(n):
     rel = (t - t[:, :1]) % 4
     if np.any(rel % 2):
         raise InvariantError("relative branch phase is not +-1")
-    return k[:, 0], 1 - rel, np.count_nonzero(tuples == 0, axis=1)
+    out = k[:, 0], 1 - rel, np.count_nonzero(tuples == 0, axis=1)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -340,14 +344,11 @@ def pauli_basis_monomials(n):
 def _gram_fold(n):
     """(s^T, fold): the sign vectors as a (n!, S) matrix and the (S, 2(n + 1)) fold.
 
-    Row j of the fold holds the ascending coefficients of num and den that
-    sign vector j contributes per unit |gamma . s[j]|^2: M0 + M1 and M0 + 3 M1
-    in the monomial basis. Both are read-only, and their values are integers.
+    Row j holds the Pauli-basis coefficients, M0 + M1 of num and M0 + 3 M1 of den,
+    that sign vector j adds per unit |gamma . s[j]|^2. Both are read-only floats.
     """
     signs, counts = sign_vector_counts(n)
-    monomials = pauli_basis_monomials(n)
-    fold = np.hstack([(counts[:, 0] + counts[:, 1]) @ monomials,
-                      (counts[:, 0] + 3 * counts[:, 1]) @ monomials])
+    fold = np.hstack([counts[:, 0] + counts[:, 1], counts[:, 0] + 3 * counts[:, 1]]).astype(float)
     signs = signs.T.astype(float)
     for a in (signs, fold):
         a.setflags(write=False)
@@ -355,15 +356,15 @@ def _gram_fold(n):
 
 
 def post_selected_weight_stack(gamma):
-    """(num, den): ascending coefficients (G, n + 1) for a (G, n!) stack gamma = c * conj(m).
+    """(num, den) as one (2, G, n + 1) array of Pauli-basis coefficients for a (G, n!) stack gamma.
 
-    gamma's width n! fixes n and must be 2, 6 or 24. With Pauli weights
+    gamma = c * conj(m), and its width n! fixes n (2, 6 or 24). With Pauli weights
     W_k(p) (W_1 = W_2 = W_3), num = W_0 + W_1 and den = W_0 + 3 W_1 is the
-    outcome probability. In Gram form each is sum_j fold[j] |gamma . s[j]|^2
-    over the sign vectors s[j] of sign_vector_counts, so every coefficient of
-    the Pauli basis (1-3p)^z p^(n-z) is a sum of nonnegative terms, and
-    den(0) = |<m|c>|^2 exactly up to one rounding. Each row is its own pair of
-    vector-matrix products, so it does not depend on the other rows.
+    outcome probability; column z is the coefficient of (1-3p)^z p^(n-z). In
+    Gram form each is sum_j fold[j] |gamma . s[j]|^2 over the sign vectors s[j]
+    of sign_vector_counts, so every coefficient is a sum of nonnegative terms,
+    and den[:, n] = den(0) = |<m|c>|^2 to one rounding. Each row is its own
+    pair of vector-matrix products, so it does not depend on the other rows.
     """
     gamma = np.asarray(gamma, dtype=complex)
     if gamma.ndim != 2 or gamma.shape[1] not in _PATHS_BY_DIM:
@@ -372,7 +373,13 @@ def post_selected_weight_stack(gamma):
     signs, fold = _gram_fold(n)
     overlap = gamma[:, None, :] @ signs
     weights = (overlap.real**2 + overlap.imag**2) @ fold
-    return weights[:, 0, : n + 1], weights[:, 0, n + 1:]
+    return weights.reshape(len(gamma), 2, n + 1).transpose(1, 0, 2)
+
+
+def _monomial_pair(gamma):
+    """(G, 2, n + 1): num and den of post_selected_weight_stack in monomials, row by row."""
+    pair = post_selected_weight_stack(gamma).transpose(1, 0, 2)
+    return pair @ pauli_basis_monomials(pair.shape[2] - 1)
 
 
 def post_selected_polynomials(control, outcome):
@@ -380,12 +387,12 @@ def post_selected_polynomials(control, outcome):
 
     The unnormalized state after post-selecting the outcome is
     sum_k W_k(p) sigma_k rho sigma_k; the outcome probability is sum_k W_k(p).
-    The nonidentity weights coincide, so W comes from post_selected_weight_stack's
-    (num, den) as W_1 = W_2 = W_3 = (den - num) / 2 and W_0 = num - W_1.
+    The nonidentity weights coincide, so W comes from the monomial (num, den) as
+    W_1 = W_2 = W_3 = (den - num) / 2 and W_0 = num - W_1.
     """
     m = normalize_state(outcome)
     if len(m) != control.dim:
         raise ValueError(f"outcome dimension {len(m)} != control dimension {control.dim}")
-    num, den = post_selected_weight_stack((control.amplitudes * m.conj())[None])
-    w1 = (den[0] - num[0]) / 2
-    return np.stack([num[0] - w1, w1, w1, w1])
+    num, den = _monomial_pair((control.amplitudes * m.conj())[None])[0]
+    w1 = (den - num) / 2
+    return np.stack([num - w1, w1, w1, w1])

@@ -329,6 +329,61 @@ def test_curve_grid_blocks_the_p_axis_bit_for_bit(monkeypatch):
     assert np.array_equal(fs, whole_fs) and np.array_equal(zero, whole_zero)
 
 
+def test_alternating_outcome_is_flagged_at_p_zero_only():
+    # den = 2 p^2 and num = (1/3 + 2p) den: p = 0 is the one 0/0 point however
+    # close to it p comes, with the limit 1/3 for the curve and F3 = 1 for three-path
+    ps = np.array([0.0, 1e-9, 1e-6, 3e-6])
+    alternating = analysis.AlphaOutcome(-1, -1, -1)
+    curve, curve_zero = analysis.curve_grid(switch.uniform_control(3), alternating.vector(), ps)
+    profile, profile_zero = analysis.alpha_fidelity_profile([alternating], ps)
+    for fs, zero, at_zero in ((curve, curve_zero, 1 / 3), (profile, profile_zero, 1.0)):
+        assert zero.tolist() == [[True, False, False, False]]
+        assert fs[0, 0] == pytest.approx(at_zero, abs=1e-15)
+        assert np.allclose(fs[0, 1:], 1 / 3 + 2 * ps[1:], rtol=0.0, atol=1e-15)
+
+
+def test_near_alternating_outcomes_are_noiseless_at_p_zero():
+    # (-1, -1, -1 + eps) fires at p = 0 with probability eps^2 / 36 > 0, where the
+    # channels are noiseless: F(0) = 1 is a plain ratio, not a 0/0 point
+    outcomes = [analysis.AlphaOutcome(-1, -1, -1 + eps) for eps in np.logspace(-9, -5, 5)]
+    fs, zero = analysis.curve_grid(switch.uniform_control(3), [a.vector() for a in outcomes], [0.0])
+    assert np.array_equal(fs, np.ones((5, 1))) and not zero.any()
+    fs, zero = analysis.alpha_fidelity_profile(outcomes, [0.0])
+    assert np.array_equal(fs, np.ones((5, 1))) and not zero.any()
+
+
+def test_curves_lie_in_their_bounds_and_flag_only_the_ends():
+    # in the Pauli basis F is a weighted mean of ratios N_z/D_z in [1/3, 1], and den
+    # vanishes only at p = 0 (D_n = 0) or p = 1/3 (D_0 = 0); the last two rows are
+    # exact 0/0 cases: minus at q = 1/2 at p = 0, and an outcome with both ends 0/0
+    rng = np.random.default_rng(2805)
+    ps = np.linspace(0.0, 1 / 3, 101)
+    for n in (2, 3, 4):
+        controls, outcomes = _random_reference_rows(n, rng, rows=100)
+        fs, zero = analysis.curve_grid(controls, outcomes, ps)
+        assert 1 / 3 <= fs.min() and fs.max() <= 1.0 and not zero.any()
+    for control, outcome, ends in ((switch.control_qubit(0.5), [1, -1], [True, False]),
+                                   (switch.uniform_control(3), [-1, -1, 0, 1, 0, 1], [True, True])):
+        num, den = switch.post_selected_weight_stack(control.amplitudes[None] * np.conj(outcome))
+        assert [den[0, -1] == 0, den[0, 0] == 0] == ends
+        fs, zero = analysis.curve_grid(control, outcome, ps)
+        assert np.allclose(fs, 1 / 3, rtol=0.0, atol=1e-15)
+        assert zero[0, [0, -1]].tolist() == ends and not zero[0, 1:-1].any()
+
+
+def test_curves_refuse_a_p_outside_the_noise_range():
+    control = switch.control_qubit(0.5)
+    num, den = analysis.fidelity_polynomials(control, [1, 1])
+    for p in (0.5, -0.1, 1.0, math.nan, 1 / 3 + 1e-9):
+        with pytest.raises(ValueError, match="outside"):
+            analysis.fidelity_profile(control, [1, 1], [0.1, p])
+        with pytest.raises(ValueError, match="outside"):
+            analysis.evaluate_fidelity(num, den, p)
+    # a p within the slack past 1/3 takes the 1/3 end, where F = 1 for outcome +
+    fs, zero = analysis.curve_grid(control, [1, 1], [1 / 3, channels.P_MAX])
+    assert fs[0, 0] == fs[0, 1] == pytest.approx(1.0, abs=1e-15) and not zero.any()
+
+
 def test_fidelity_profile_matches_brute_force_for_three_paths():
     rng = np.random.default_rng(24)
     ctrl = switch.uniform_control(3)
@@ -474,7 +529,7 @@ _REF_MAX_PANELS = 2**12
 
 
 def _reference_polynomials(controls, outcomes):
-    """(num, den) of each row; a qubit outcome that never fires takes its complement."""
+    """Monomial (num, den) of each row; a qubit outcome that never fires takes its complement."""
     amps, outcomes = analysis._rows(controls, outcomes)
     gamma = amps * outcomes.conj()
     silent = ~gamma.any(axis=1)
@@ -482,7 +537,9 @@ def _reference_polynomials(controls, outcomes):
         # the orthogonal complement (-m1*, m0*) fires with certainty
         perp = np.stack([-outcomes[silent, 1].conj(), outcomes[silent, 0].conj()], axis=1)
         gamma[silent] = amps[silent] * perp.conj()
-    return switch.post_selected_weight_stack(gamma)
+    num, den = switch.post_selected_weight_stack(gamma)
+    monomials = switch.pauli_basis_monomials(num.shape[1] - 1)
+    return num @ monomials, den @ monomials
 
 
 def _reference_cuts(g):

@@ -80,8 +80,6 @@ EDGES = [
      lambda x: analysis._root_real_parts(np.array([[-1.0, 0.0, 1.0, x]])).min() < -2, 2, 0.5),
     # x p^2 + p - 1 keeps its root near -1/x
     ("DEGREE_DROP", lambda x: analysis._root_real_parts(np.array([[-1.0, 1.0, x]])).min() < -2, 2, 0.5),
-    # den = x p + p^2 at p = 0: its first derivative x is not zero, so F = num'/den' = 1/x
-    ("LHOPITAL_ZERO", lambda x: analysis._lhopital([0.0, 1.0, 0.0], [0.0, x, 1.0], 0.0) != 0, 2, 0.5),
     ("MERIT_TIE", _tie, 0.5, 2),
     ("DEGENERATE_PROB", lambda x: _accepts(
         switch.post_select, switch.JointState(np.kron(np.eye(2) / 2, np.diag([1 - x, x])), 2),
@@ -91,8 +89,6 @@ EDGES = [
     ("SILENT_PROB", lambda x: _accepts(
         analysis.merit_grid, switch.ControlState(np.eye(6)[0]), [math.sqrt(x), 1, 0, 0, 0, 0]),
      2, 0.5),
-    ("ZERO_DEN", lambda x: not analysis._ratio(np.array([[0.0, 1.0]]), np.array([[x, 1.0]]),
-                                               [0.0])[1][0, 0], 2, 0.5),
 ]
 
 

@@ -63,6 +63,8 @@ COMMANDS = [
     ["fidelity-curves", "--outcome", "custom", "--lambda", "0.7", "--phi", "2.1", "--q", "0.3"],
     ["fidelity-curves", "--p-min", "-0", "--p-step", "0.1"],
     ["three-path", "--alpha=-1,-1,-1"],
+    # a fine grid next to the alternating outcome's one 0/0 point, p = 0
+    ["three-path", "--alpha=-1,-1,-1", "--p-max", "1e-5", "--p-step", "1e-6"],
     ["three-path", "--lambda", "1"],
     ["fom-scan", "--q", "0", "--lambda", "0"],
     # help screens

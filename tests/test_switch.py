@@ -408,7 +408,9 @@ def test_a_wrong_pauli_product_breaks_an_invariant(monkeypatch):
     for table, message in (("_PROD_K", "Pauli label"), ("_PROD_T", "relative branch phase")):
         wrong = getattr(switch, table).copy()
         wrong[1, 2] = (wrong[1, 2] + 1) % 4
-        switch.branch_pair_weight_counts.cache_clear()
+        caches = (switch.branch_pair_weight_counts, switch._tuple_signs)
+        for cached in caches:
+            cached.cache_clear()
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(switch, table, wrong)
@@ -416,7 +418,8 @@ def test_a_wrong_pauli_product_breaks_an_invariant(monkeypatch):
                     with pytest.raises(switch.InvariantError, match=message):
                         switch.branch_pair_weight_counts(n)
         finally:
-            switch.branch_pair_weight_counts.cache_clear()
+            for cached in caches:
+                cached.cache_clear()
 
 
 def test_branch_pair_weight_counts_are_integer_and_symmetric():
@@ -455,9 +458,9 @@ def test_gram_fold_is_an_integer_fold_of_the_sign_vector_counts():
         assert np.array_equal(columns, signs.T)
         assert fold.shape == (len(signs), 2 * (n + 1))
         assert np.array_equal(fold, np.rint(fold))
-        monomials = switch.pauli_basis_monomials(n)
-        assert np.array_equal(fold[:, : n + 1], (counts[:, 0] + counts[:, 1]) @ monomials)
-        assert np.array_equal(fold[:, n + 1:], (counts[:, 0] + 3 * counts[:, 1]) @ monomials)
+        # num and den in the Pauli basis: M0 + M1 and M0 + 3 M1
+        assert np.array_equal(fold[:, : n + 1], counts[:, 0] + counts[:, 1])
+        assert np.array_equal(fold[:, n + 1:], counts[:, 0] + 3 * counts[:, 1])
 
 
 _COUNTS, _TUPLE_SIGNS = switch.branch_pair_weight_counts, switch._tuple_signs
@@ -508,7 +511,7 @@ def test_post_selected_weights_use_a_cached_read_only_fold():
                           switch.pauli_basis_monomials(n)).reshape(d * d, 4 * (n + 1))
         outer = (gamma[:, :, None] * gamma.conj()[:, None, :]).reshape(5, 1, -1)
         w = (outer.real @ fresh).reshape(5, 4, n + 1)
-        num, den = switch.post_selected_weight_stack(gamma)
+        num, den = switch.post_selected_weight_stack(gamma) @ switch.pauli_basis_monomials(n)
         assert np.allclose(num, w[:, 0] + w[:, 1], rtol=0.0, atol=1e-13)
         assert np.allclose(den, w.sum(axis=1), rtol=0.0, atol=1e-13)
         fold = switch._gram_fold(n)

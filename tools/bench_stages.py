@@ -13,9 +13,10 @@ calls of each stage:
 - switch_n(2), switch_n(3), switch_n(4): the same channel, one input, the
   uniform control;
 - counts(2), counts(3), counts(4): the cold count-tensor build and fold, with
-  the caches of branch_pair_weight_counts, pauli_basis_monomials and the fold
+  the caches of branch_pair_weight_counts, pauli_basis_monomials, the fold
   (sign_vector_counts and _gram_fold; _folded_counts in sources from before
-  the Gram form) cleared before each call;
+  the Gram form) and the tuple enumeration (_tuple_signs, where it is cached)
+  cleared before each call;
 - merit_grid(fom-scan): the default fom-scan grid at q = 0.5 (41 lambdas x
   180 phases of OutcomeFamily2, n = 2), built from the grid as the CLI does;
 - merit_grid(three-path): the same default grid of OutcomeFamily3 against the
@@ -24,9 +25,15 @@ calls of each stage:
   the path count read from the 24-dimensional controls;
 - weights(fom-scan), weights(three-path), weights(n=4): gamma -> (num, den)
   alone on the three grids above, gamma built once from the normalized rows;
+  in sources whose weight stack is in the Pauli basis, (num, den) includes the
+  change to monomials (_monomial_pair) that merit_grid makes;
 - _root_real_parts(fom-scan), _root_real_parts(three-path): kink location
   alone on the two grids above: num - (2/3) den of every row, built once,
   solved _BLOCK_ROWS rows at a time as merit_grid's blocks are;
+- curve_grid(region-map 1e-4): the 51-row region-map surface at --p-step
+  1e-4 (3,335 points per row), as cmd_region_map computes it;
+- alpha_fidelity_profile(three-path 1e-4): the four caption alphas of
+  three-path at --p-step 1e-4;
 - degenerate column (three-path 1e-4): three-path's degenerate column at
   --p-step 1e-4 (3,335 points, the four caption alphas), from a mask computed
   once;
@@ -84,10 +91,11 @@ def worker():
         stages[f"switch_n({n})"] = lambda n=n, c=uniform: switch.switch_n(ch, n, rho, c)
 
     # sources from before the Gram form fold the counts in _folded_counts and
-    # return W[g, k] from the weight stack, which _ratio_polynomials sums
+    # return W[g, k] from the weight stack, which _ratio_polynomials sums; those
+    # with _monomial_pair return num and den in the Pauli basis
     caches = [getattr(switch, name) for name in (
         "branch_pair_weight_counts", "pauli_basis_monomials", "sign_vector_counts", "_gram_fold",
-        "_folded_counts") if hasattr(switch, name)]
+        "_folded_counts", "_tuple_signs") if hasattr(getattr(switch, name, None), "cache_clear")]
     fold = getattr(switch, "_gram_fold", getattr(switch, "_folded_counts", None))
 
     def counts(n):
@@ -96,6 +104,8 @@ def worker():
         fold(n)
 
     def ratio_polynomials(gamma):
+        if hasattr(switch, "_monomial_pair"):
+            return switch._monomial_pair(gamma).transpose(1, 0, 2)
         weights = switch.post_selected_weight_stack(gamma)
         if hasattr(analysis, "_ratio_polynomials"):
             return analysis._ratio_polynomials(weights)
@@ -135,6 +145,11 @@ def worker():
             analysis._root_real_parts(block) for block in blocks]
 
     fine = cli._p_grid({"p_min": 0.0, "p_max": 1 / 3, "p_step": 1e-4})
+    qubits = cli._qubit_controls(np.linspace(0.0, 1.0, 51))
+    stages["curve_grid(region-map 1e-4)"] = lambda: analysis.curve_grid(
+        qubits, cli.OUTCOME_VECTORS["plus"], fine)
+    stages["alpha_fidelity_profile(three-path 1e-4)"] = lambda: analysis.alpha_fidelity_profile(
+        cli.CAPTION_ALPHAS, fine)
     labels = [a.label() for a in cli.CAPTION_ALPHAS]
     zero = analysis.alpha_fidelity_profile(cli.CAPTION_ALPHAS, fine)[1]
 
